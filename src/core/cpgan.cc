@@ -231,10 +231,19 @@ bool Cpgan::WarmStart(const graph::Graph& observed,
     return false;
   }
   trained_ = true;
+  EncodeObserved();
   return true;
 }
 
 TrainStats Cpgan::FitMany(const std::vector<graph::Graph>& graphs) {
+  TrainStats stats = Train(graphs);
+  // Encoded only now that Train has released its optimizers, guard and
+  // epoch state: the pass must not raise the training peak.
+  if (trained_) EncodeObserved();
+  return stats;
+}
+
+TrainStats Cpgan::Train(const std::vector<graph::Graph>& graphs) {
   CPGAN_CHECK(!graphs.empty());
   CPGAN_CHECK(!trained_);
   util::Timer timer;
@@ -644,27 +653,6 @@ TrainStats Cpgan::FitMany(const std::vector<graph::Graph>& graphs) {
       }
       zero_all();
       stats.g_loss.push_back(g_loss_value);
-
-      if (epoch + 1 == config_.epochs) {
-        const t::Matrix& p = probs.value();
-        double pos_total = 0.0, neg_total = 0.0;
-        int64_t pos_count = 0, neg_count = 0;
-        for (int r = 0; r < k; ++r) {
-          for (int c = r + 1; c < k; ++c) {
-            if (a_dense.At(r, c) > 0.5f) {
-              pos_total += p.At(r, c);
-              ++pos_count;
-            } else {
-              neg_total += p.At(r, c);
-              ++neg_count;
-            }
-          }
-        }
-        stats.final_pos_prob =
-            pos_count > 0 ? static_cast<float>(pos_total / pos_count) : 0.0f;
-        stats.final_neg_prob =
-            neg_count > 0 ? static_cast<float>(neg_total / neg_count) : 0.0f;
-      }
     }
 
     if (config_.lr_decay_every > 0 && (epoch + 1) % config_.lr_decay_every == 0) {
@@ -848,25 +836,39 @@ tensor::Tensor Cpgan::ClusteringLoss(
   return loss;
 }
 
-std::vector<t::Matrix> Cpgan::PosteriorMeanLatents() const {
-  CPGAN_CHECK(trained_);
+void Cpgan::EncodeObserved() {
+  CPGAN_TRACE_SPAN("core/encode_observed");
   auto a_hat = std::make_shared<t::SparseMatrix>(
       config_.use_two_hop_adjacency
           ? t::TwoHopNormalizedAdjacency(observed_->num_nodes(),
                                          observed_->Edges())
           : t::NormalizedAdjacency(observed_->num_nodes(),
                                    observed_->Edges()));
-  t::Tensor x = features_.Detach();
-  EncoderOutput enc = encoder_->Forward(a_hat, x);
+  EncoderOutput enc = encoder_->Forward(a_hat, features_.Detach());
   // sample=false keeps the posterior means and draws nothing, so the local
   // RNG is never advanced and the result is a pure function of the weights.
   util::Rng unused_rng(0);
   VariationalOutput vae_out =
       vae_->Forward(enc.z_rec, unused_rng, /*sample=*/false);
-  std::vector<t::Matrix> latents;
-  latents.reserve(vae_out.z_vae.size());
-  for (const t::Tensor& z : vae_out.z_vae) latents.push_back(z.value());
-  return latents;
+  posterior_latents_.clear();
+  for (const t::Tensor& z : vae_out.z_vae) {
+    posterior_latents_.push_back(z.value());
+  }
+  // Pooling disabled (CPGAN-noH): the Louvain targets are the learned
+  // representation's training signal; use them directly.
+  community_labels_ = enc.assignments.empty()
+                          ? louvain_.FinalPartition().labels()
+                          : ArgmaxRows(enc.assignments[0].value());
+}
+
+const std::vector<t::Matrix>& Cpgan::PosteriorMeanLatents() const {
+  CPGAN_CHECK(trained_);
+  return posterior_latents_;
+}
+
+const std::vector<int>& Cpgan::LearnedCommunityLabels() const {
+  CPGAN_CHECK(trained_);
+  return community_labels_;
 }
 
 t::Matrix Cpgan::ScoreSubgraph(const std::vector<t::Matrix>& latents,
@@ -905,24 +907,6 @@ graph::Graph Cpgan::GenerateFromLatents(const std::vector<t::Matrix>& latents,
         return ScoreSubgraph(latents, ids);
       },
       options, rng);
-}
-
-std::vector<int> Cpgan::LearnedCommunityLabels() const {
-  CPGAN_CHECK(trained_);
-  auto a_hat = std::make_shared<t::SparseMatrix>(
-      config_.use_two_hop_adjacency
-          ? t::TwoHopNormalizedAdjacency(observed_->num_nodes(),
-                                         observed_->Edges())
-          : t::NormalizedAdjacency(observed_->num_nodes(),
-                                   observed_->Edges()));
-  t::Tensor x = features_.Detach();
-  EncoderOutput enc = encoder_->Forward(a_hat, x);
-  if (!enc.assignments.empty()) {
-    return ArgmaxRows(enc.assignments[0].value());
-  }
-  // Pooling disabled (CPGAN-noH): the Louvain targets are the learned
-  // representation's training signal; use them directly.
-  return louvain_.FinalPartition().labels();
 }
 
 graph::Graph Cpgan::GenerateHierarchicalFromLatents(
@@ -1069,38 +1053,31 @@ graph::Graph Cpgan::GenerateHierarchicalFromLatents(
 graph::Graph Cpgan::GenerateWith(const GenerateControls& controls,
                                  util::Rng& rng) const {
   CPGAN_CHECK(trained_);
-  int num_nodes =
-      controls.num_nodes > 0 ? controls.num_nodes : observed_->num_nodes();
-  int64_t num_edges =
-      controls.num_edges > 0 ? controls.num_edges : observed_->num_edges();
+  const int n = observed_->num_nodes();
+  const int64_t m = observed_->num_edges();
+  const int num_nodes = controls.num_nodes > 0 ? controls.num_nodes : n;
+  // Without an explicit edge count, sized outputs keep the observed density
+  // (a 10x-smaller request would otherwise come back near-complete).
+  const int64_t num_edges = controls.num_edges > 0 ? controls.num_edges
+                            : num_nodes == n
+                                ? m
+                                : std::max<int64_t>(1, m * num_nodes / n);
   if (controls.hierarchical) {
-    // The encoder passes (posterior latents + learned labels) are
-    // kernel-heavy; run them as a phase so the serving runtime's narrowed
-    // lock covers them too.
-    std::vector<t::Matrix> latents;
-    std::vector<int> labels;
-    auto prepare = [&]() {
-      latents = PosteriorMeanLatents();
-      labels = LearnedCommunityLabels();
-    };
-    if (controls.run_phase) {
-      controls.run_phase(prepare);
-    } else {
-      prepare();
-    }
-    return GenerateHierarchicalFromLatents(latents, labels, num_nodes,
+    // The skeleton scales the observed community profile, so hierarchical
+    // outputs decode from the posterior latents at any size.
+    return GenerateHierarchicalFromLatents(posterior_latents_,
+                                           community_labels_, num_nodes,
                                            num_edges, controls, rng);
   }
-  bool prior = controls.from_prior || num_nodes != observed_->num_nodes();
+  if (!controls.from_prior && num_nodes == n) {
+    return GenerateFromLatents(posterior_latents_, num_nodes, num_edges,
+                               controls, rng);
+  }
   std::vector<t::Matrix> latents;
-  if (prior) {
-    for (int l = 0; l < effective_levels_; ++l) {
-      t::Matrix noise(num_nodes, config_.latent_dim);
-      noise.FillNormal(rng, 1.0f);
-      latents.push_back(std::move(noise));
-    }
-  } else {
-    latents = PosteriorMeanLatents();
+  for (int l = 0; l < effective_levels_; ++l) {
+    t::Matrix noise(num_nodes, config_.latent_dim);
+    noise.FillNormal(rng, 1.0f);
+    latents.push_back(std::move(noise));
   }
   return GenerateFromLatents(latents, num_nodes, num_edges, controls, rng);
 }
@@ -1128,10 +1105,11 @@ graph::Graph Cpgan::GenerateWithSize(int num_nodes, int64_t num_edges) {
 std::vector<double> Cpgan::EdgeProbabilities(
     const std::vector<graph::Edge>& pairs) {
   CPGAN_CHECK(trained_);
-  std::vector<t::Matrix> latents = PosteriorMeanLatents();
   std::vector<t::Tensor> z;
-  z.reserve(latents.size());
-  for (t::Matrix& level : latents) z.push_back(t::Constant(std::move(level)));
+  z.reserve(posterior_latents_.size());
+  for (const t::Matrix& level : posterior_latents_) {
+    z.push_back(t::Constant(level));
+  }
   t::Tensor h = decoder_->DecodeNodes(z);
   t::Matrix e = decoder_->EdgeEmbeddings(h).value();
   std::vector<double> probs;
@@ -1147,35 +1125,13 @@ std::vector<double> Cpgan::EdgeProbabilities(
   return probs;
 }
 
-
-namespace {
-
-std::vector<t::Tensor> AllModelParameters(
-    const LadderEncoder& encoder, const VariationalInference& vae,
-    const GraphDecoder& decoder, const Discriminator& discriminator,
-    const t::Tensor& features) {
-  std::vector<t::Tensor> params = encoder.Parameters();
-  auto append = [&params](const std::vector<t::Tensor>& more) {
-    params.insert(params.end(), more.begin(), more.end());
-  };
-  append(vae.Parameters());
-  append(decoder.Parameters());
-  append(discriminator.Parameters());
-  params.push_back(features);
-  return params;
-}
-
-}  // namespace
-
 bool Cpgan::SaveWeights(const std::string& path) const {
   if (!trained_) {
     CPGAN_LOG(Error) << "SaveWeights(" << path
                      << "): model is untrained — call Fit first";
     return false;
   }
-  std::vector<t::Tensor> params = AllModelParameters(
-      *encoder_, *vae_, *decoder_, *discriminator_, features_);
-  if (!t::SaveParameters(params, path)) {
+  if (!t::SaveParameters(CollectAllParams(), path)) {
     CPGAN_LOG(Error) << "SaveWeights(" << path << "): write failed";
     return false;
   }
@@ -1189,13 +1145,13 @@ bool Cpgan::LoadWeights(const std::string& path) {
                         "graph with matching shape parameters first";
     return false;
   }
-  std::vector<t::Tensor> params = AllModelParameters(
-      *encoder_, *vae_, *decoder_, *discriminator_, features_);
+  std::vector<t::Tensor> params = CollectAllParams();
   std::string err;
   if (!t::LoadParameters(params, path, &err)) {
     CPGAN_LOG(Error) << "LoadWeights(" << path << "): " << err;
     return false;
   }
+  EncodeObserved();
   return true;
 }
 

@@ -34,11 +34,6 @@ struct TrainStats {
   /// set when a budget was configured).
   bool budget_exceeded = false;
 
-  /// Mean reconstruction probability on the final training subgraph's
-  /// positive / negative pairs (training-domain diagnostic).
-  float final_pos_prob = 0.0f;
-  float final_neg_prob = 0.0f;
-
   // ----- Fault-tolerance counters (src/train/) -----
 
   /// Optimizer steps rejected by the training guard (NaN/Inf/explosion) and
@@ -80,7 +75,8 @@ struct GenerateControls {
   /// Nodes in the generated graph; 0 = the observed graph's node count.
   int num_nodes = 0;
 
-  /// Target edge count; 0 = the observed graph's edge count.
+  /// Target edge count; 0 = the observed graph's density at `num_nodes`
+  /// (max(1, m * num_nodes / n); exactly m at the observed size).
   int64_t num_edges = 0;
 
   /// Draw latents from the Gaussian prior even at the observed size (the
@@ -149,15 +145,17 @@ class Cpgan {
   /// number of requests can run against one trained model without mutating
   /// it (kernel execution itself must still be serialized by the caller —
   /// the thread pool accepts one top-level parallel region at a time; the
-  /// serving runtime holds its decode lock around this call).
+  /// serving runtime holds its decode lock around this call). Observed-size
+  /// and hierarchical outputs decode from the stored posterior latents, so
+  /// no call runs the encoder.
   graph::Graph GenerateWith(const GenerateControls& controls,
                             util::Rng& rng) const;
 
   /// Latent features of the observed graph under the posterior means, one
-  /// n x latent matrix per hierarchy level. Deterministic (no RNG), so the
-  /// serving layer computes this once per model load and reuses it across
-  /// requests via GenerateFromLatents.
-  std::vector<tensor::Matrix> PosteriorMeanLatents() const;
+  /// n x latent matrix per hierarchy level. Computed by one encoder pass
+  /// whenever the weights change (end of training, WarmStart, LoadWeights)
+  /// and stored with the model.
+  const std::vector<tensor::Matrix>& PosteriorMeanLatents() const;
 
   /// Assembly over precomputed latents (posterior means or prior draws).
   /// `num_nodes` must match the latents' row count.
@@ -169,9 +167,9 @@ class Cpgan {
   /// Community label per observed node from the learned pooled
   /// representation: the argmax of the encoder's level-0 assignment matrix
   /// (trained against the Louvain targets), falling back to the Louvain
-  /// partition itself when pooling is disabled. Deterministic, so callers
-  /// (the serving registry) compute it once per model and reuse it.
-  std::vector<int> LearnedCommunityLabels() const;
+  /// partition itself when pooling is disabled. Stored by the same encoder
+  /// pass as PosteriorMeanLatents.
+  const std::vector<int>& LearnedCommunityLabels() const;
 
   /// Hierarchical community-wise generation over precomputed observed-size
   /// latents (docs/INTERNALS.md, "Hierarchical assembly"): output nodes are
@@ -213,10 +211,11 @@ class Cpgan {
   /// on an untrained model or IO failure.
   bool SaveWeights(const std::string& path) const;
 
-  /// Restores weights saved by SaveWeights into this model. The model must
-  /// have been trained (or at least Fit) on a graph with identical shape
-  /// parameters so the architectures match. Returns false on mismatch/IO
-  /// failure with the reason logged.
+  /// Restores weights saved by SaveWeights into this model (and re-encodes
+  /// the observed graph under them). The model must have been trained (or
+  /// at least Fit) on a graph with identical shape parameters so the
+  /// architectures match. Returns false on mismatch/IO failure with the
+  /// reason logged.
   bool LoadWeights(const std::string& path);
 
   /// Arms resumption from a training checkpoint written by a previous run
@@ -240,6 +239,15 @@ class Cpgan {
   /// Shared model construction for Fit/FitMany and WarmStart: observed-graph
   /// context, spectral features, Louvain targets, and all modules.
   void BuildModel(const std::vector<graph::Graph>& graphs);
+
+  /// The training loop of FitMany. Returns with its optimizers, guard and
+  /// epoch state released.
+  TrainStats Train(const std::vector<graph::Graph>& graphs);
+
+  /// Builds the observed graph's normalized adjacency and runs one encoder
+  /// pass under the current weights, storing the posterior-mean latents and
+  /// the learned community labels. Called after every weight change.
+  void EncodeObserved();
 
   /// Every trainable parameter in checkpoint order (modules, then the
   /// primary feature table, then per-extra-graph feature tables).
@@ -295,6 +303,11 @@ class Cpgan {
   /// Additional training graphs beyond the primary one (FitMany).
   std::vector<TrainContext> extra_contexts_;
   int effective_levels_ = 1;
+
+  /// Stored by EncodeObserved (see PosteriorMeanLatents and
+  /// LearnedCommunityLabels).
+  std::vector<tensor::Matrix> posterior_latents_;
+  std::vector<int> community_labels_;
 
   /// Horvitz-Thompson importance weights of the coreset nodes (aligned with
   /// the relabeled coreset graph's node ids; empty when coreset training is

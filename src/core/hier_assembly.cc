@@ -13,6 +13,10 @@ namespace cpgan::core {
 
 namespace {
 
+/// Upper bound on boundary nodes sampled per community side when stitching
+/// a block (the actual count also shrinks with the block's budget).
+constexpr int64_t kStitchCandidates = 32;
+
 /// Distributes `total` over items proportionally to `mass`, capped at
 /// `capacity`, with deterministic largest-remainder rounding and a greedy
 /// top-up pass so capped blocks hand their excess to blocks with room.
@@ -284,9 +288,9 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
             for (int64_t p = lo; p < hi; ++p) {
               const StitchPair& sp = pairs[p];
               // Boundary candidates scale with the budget so tiny blocks
-              // pay for tiny decodes, capped by stitch_candidates.
+              // pay for tiny decodes, capped by kStitchCandidates.
               const int want = static_cast<int>(std::min<int64_t>(
-                  options.stitch_candidates,
+                  kStitchCandidates,
                   4 + static_cast<int64_t>(
                           std::ceil(2.0 * std::sqrt(
                                               static_cast<double>(

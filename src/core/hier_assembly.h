@@ -67,11 +67,6 @@ struct HierAssemblyOptions {
   /// count.
   int wave_size = 0;
 
-  /// Upper bound on boundary nodes sampled per community side when
-  /// stitching a block (the actual count also shrinks with the block's
-  /// budget, so tiny budgets only pay for tiny decodes).
-  int stitch_candidates = 32;
-
   /// Base of the per-community (and per-block-pair) RNG streams: community
   /// c draws from Rng(mix(seed, c)), block pair (a, b) from
   /// Rng(mix(seed, C + pair_index)). Streams never interact, which is what

@@ -1,6 +1,5 @@
 #include "serve/registry.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -40,53 +39,11 @@ std::shared_ptr<ServableModel> ServableModel::Create(const ModelSpec& spec,
     if (!servable->model_->trained()) {
       return fail("model '" + spec.name + "' is untrained after build");
     }
-    // Posterior-mean latents and community labels are deterministic;
-    // computing them once here means observed-size and hierarchical
-    // requests never touch the encoder again.
-    servable->posterior_latents_ = servable->model_->PosteriorMeanLatents();
-    servable->community_labels_ = servable->model_->LearnedCommunityLabels();
   }
   servable->observed_nodes_ = spec.graph.num_nodes();
   servable->observed_edges_ = spec.graph.num_edges();
   servable->checkpoint_ = spec.checkpoint;
   return servable;
-}
-
-graph::Graph ServableModel::Generate(const core::GenerateControls& controls,
-                                     util::Rng& rng) const {
-  int nodes = controls.num_nodes > 0 ? controls.num_nodes : observed_nodes_;
-  if (controls.hierarchical) {
-    // Hierarchical assembly decodes from the cached posterior latents at any
-    // size (the skeleton scales the observed community profile), so sized
-    // requests skip the prior path entirely. Density-preserving edge scaling
-    // matches the flat sized path below.
-    int64_t edges =
-        controls.num_edges > 0
-            ? controls.num_edges
-            : std::max<int64_t>(
-                  1, observed_nodes_ > 0
-                         ? observed_edges_ * nodes / observed_nodes_
-                         : observed_edges_);
-    return model_->GenerateHierarchicalFromLatents(
-        posterior_latents_, community_labels_, nodes, edges, controls, rng);
-  }
-  if (!controls.from_prior && nodes == observed_nodes_) {
-    int64_t edges =
-        controls.num_edges > 0 ? controls.num_edges : observed_edges_;
-    return model_->GenerateFromLatents(posterior_latents_, nodes, edges,
-                                       controls, rng);
-  }
-  // Sized request without an explicit edge count: preserve the observed
-  // density instead of inheriting the observed edge total (a 10x-smaller
-  // request would otherwise come back near-complete).
-  if (controls.num_edges <= 0 && nodes != observed_nodes_ &&
-      observed_nodes_ > 0) {
-    core::GenerateControls scaled = controls;
-    scaled.num_edges =
-        std::max<int64_t>(1, observed_edges_ * nodes / observed_nodes_);
-    return model_->GenerateWith(scaled, rng);
-  }
-  return model_->GenerateWith(controls, rng);
 }
 
 bool ModelRegistry::AddModel(const ModelSpec& spec, std::string* error,

@@ -36,9 +36,9 @@ struct ModelSpec {
   std::string checkpoint;
 };
 
-/// An immutable trained model plus its cached posterior-mean latents.
-/// Everything is computed at load time; Generate() is const and safe to call
-/// from any worker holding KernelLock().
+/// An immutable trained model. The model encodes its observed graph once
+/// at load time; Generate() is const and safe to call from any worker
+/// holding KernelLock().
 class ServableModel {
  public:
   /// Builds (warm-load or in-process train) a model. Runs kernels — takes
@@ -50,18 +50,16 @@ class ServableModel {
                                                std::string* error,
                                                ChaosInjector* chaos);
 
-  /// Decodes one graph with a caller-owned RNG stream. Caller must hold
-  /// KernelLock() — except when `controls.hierarchical` is set with a
-  /// `controls.run_phase` wrapper, in which case the caller must NOT hold
-  /// the lock: every kernel-heavy phase (per-community decode wave, stitch
-  /// wave) runs inside `run_phase`, so the wrapper takes KernelLock() per
-  /// phase and other requests interleave between waves. Requests at the
-  /// observed size reuse the cached posterior latents (no encoder pass per
-  /// request); other sizes draw prior latents from `rng`. Hierarchical
-  /// requests always decode from the cached posterior latents and cached
-  /// community labels, at any requested size.
+  /// Decodes one graph with a caller-owned RNG stream (Cpgan::GenerateWith).
+  /// Caller must hold KernelLock() — except when `controls.hierarchical` is
+  /// set with a `controls.run_phase` wrapper, in which case the caller must
+  /// NOT hold the lock: every kernel-heavy phase (probe, per-community
+  /// decode wave, stitch wave) runs inside `run_phase`, so the wrapper takes
+  /// KernelLock() per phase and other requests interleave between waves.
   graph::Graph Generate(const core::GenerateControls& controls,
-                        util::Rng& rng) const;
+                        util::Rng& rng) const {
+    return model_->GenerateWith(controls, rng);
+  }
 
   int observed_nodes() const { return observed_nodes_; }
   int64_t observed_edges() const { return observed_edges_; }
@@ -76,8 +74,6 @@ class ServableModel {
   ServableModel() = default;
 
   std::unique_ptr<core::Cpgan> model_;
-  std::vector<tensor::Matrix> posterior_latents_;
-  std::vector<int> community_labels_;
   int observed_nodes_ = 0;
   int64_t observed_edges_ = 0;
   std::string checkpoint_;

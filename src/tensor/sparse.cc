@@ -52,8 +52,18 @@ SparseMatrix::SparseMatrix(int rows, int cols, std::vector<Triplet> triplets)
     i = j;
   }
   for (int r = 0; r < rows_; ++r) row_offsets_[r + 1] += row_offsets_[r];
-  util::MemoryTracker::Global().Allocate(values_.size() * sizeof(float) +
-                                         col_indices_.size() * sizeof(int));
+  TrackStorage();
+}
+
+SparseMatrix::~SparseMatrix() {
+  util::MemoryTracker::Global().Release(tracked_bytes_);
+}
+
+void SparseMatrix::TrackStorage() {
+  util::MemoryTracker::Global().Release(tracked_bytes_);
+  tracked_bytes_ =
+      values_.size() * sizeof(float) + col_indices_.size() * sizeof(int);
+  util::MemoryTracker::Global().Allocate(tracked_bytes_);
 }
 
 Matrix SparseMatrix::Multiply(const Matrix& dense) const {
@@ -99,8 +109,7 @@ SparseMatrix SparseMatrix::BuildTransposed() const {
       t.values_[dst] = values_[idx];
     }
   }
-  util::MemoryTracker::Global().Allocate(t.values_.size() * sizeof(float) +
-                                         t.col_indices_.size() * sizeof(int));
+  t.TrackStorage();
   return t;
 }
 
@@ -118,7 +127,9 @@ SparseMatrix::SparseMatrix(const SparseMatrix& other)
       row_offsets_(other.row_offsets_),
       col_indices_(other.col_indices_),
       values_(other.values_),
-      transpose_cache_(other.transpose_cache_) {}
+      transpose_cache_(other.transpose_cache_) {
+  TrackStorage();
+}
 
 SparseMatrix& SparseMatrix::operator=(const SparseMatrix& other) {
   if (this == &other) return *this;
@@ -128,6 +139,7 @@ SparseMatrix& SparseMatrix::operator=(const SparseMatrix& other) {
   col_indices_ = other.col_indices_;
   values_ = other.values_;
   transpose_cache_ = other.transpose_cache_;
+  TrackStorage();
   return *this;
 }
 
@@ -137,6 +149,7 @@ SparseMatrix::SparseMatrix(SparseMatrix&& other) noexcept
       row_offsets_(std::move(other.row_offsets_)),
       col_indices_(std::move(other.col_indices_)),
       values_(std::move(other.values_)),
+      tracked_bytes_(std::exchange(other.tracked_bytes_, 0)),
       transpose_cache_(std::move(other.transpose_cache_)) {
   other.rows_ = 0;
   other.cols_ = 0;
@@ -144,11 +157,13 @@ SparseMatrix::SparseMatrix(SparseMatrix&& other) noexcept
 
 SparseMatrix& SparseMatrix::operator=(SparseMatrix&& other) noexcept {
   if (this == &other) return *this;
+  util::MemoryTracker::Global().Release(tracked_bytes_);
   rows_ = other.rows_;
   cols_ = other.cols_;
   row_offsets_ = std::move(other.row_offsets_);
   col_indices_ = std::move(other.col_indices_);
   values_ = std::move(other.values_);
+  tracked_bytes_ = std::exchange(other.tracked_bytes_, 0);
   transpose_cache_ = std::move(other.transpose_cache_);
   other.rows_ = 0;
   other.cols_ = 0;

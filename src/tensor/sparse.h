@@ -29,8 +29,12 @@ class SparseMatrix {
   /// Builds from triplets. Duplicate (row, col) entries are summed.
   SparseMatrix(int rows, int cols, std::vector<Triplet> triplets);
 
+  ~SparseMatrix();
+
   // The lazily built transpose cache (shared, immutable) travels with
-  // copies; the mutex guarding its construction does not.
+  // copies; the mutex guarding its construction does not. Copies report
+  // their own storage to util::MemoryTracker; moved-from matrices report
+  // none.
   SparseMatrix(const SparseMatrix& other);
   SparseMatrix& operator=(const SparseMatrix& other);
   SparseMatrix(SparseMatrix&& other) noexcept;
@@ -72,11 +76,16 @@ class SparseMatrix {
   /// Returns the cached transpose, building it on first use (thread-safe).
   const SparseMatrix& TransposedCached() const;
 
+  /// Reports the entry storage to util::MemoryTracker (released by the
+  /// destructor or on reassignment).
+  void TrackStorage();
+
   int rows_ = 0;
   int cols_ = 0;
   std::vector<int64_t> row_offsets_;
   std::vector<int> col_indices_;
   std::vector<float> values_;
+  size_t tracked_bytes_ = 0;  // figure reported to MemoryTracker
 
   mutable std::mutex transpose_mutex_;
   mutable std::shared_ptr<const SparseMatrix> transpose_cache_;

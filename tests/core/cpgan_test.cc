@@ -163,7 +163,33 @@ TEST(CpganTest, SaveLoadWeightsRoundTrip) {
   for (size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_NEAR(original[i], restored[i], 1e-5);
   }
+  // Generation decodes the observed graph's encoding, which LoadWeights
+  // must refresh: the clone generates the original's graphs edge for edge.
+  for (bool hierarchical : {false, true}) {
+    GenerateControls controls;
+    controls.hierarchical = hierarchical;
+    util::Rng original_rng(21);
+    util::Rng restored_rng(21);
+    EXPECT_EQ(model.GenerateWith(controls, original_rng).Edges(),
+              clone.GenerateWith(controls, restored_rng).Edges())
+        << (hierarchical ? "hierarchical" : "flat");
+  }
   std::remove(path.c_str());
+}
+
+TEST(CpganTest, HierarchicalSizedGenerationKeepsObservedDensity) {
+  // Without an explicit edge count, a hierarchical output at twice the
+  // observed size targets twice the observed edges, like a flat one.
+  graph::Graph observed = SmallCommunityGraph();
+  Cpgan model(FastConfig());
+  model.Fit(observed);
+  GenerateControls controls;
+  controls.hierarchical = true;
+  controls.num_nodes = 2 * observed.num_nodes();
+  util::Rng rng(5);
+  graph::Graph out = model.GenerateWith(controls, rng);
+  EXPECT_EQ(out.num_nodes(), 2 * observed.num_nodes());
+  EXPECT_GT(out.num_edges(), observed.num_edges());
 }
 
 TEST(CpganTest, LoadRejectsMismatchedArchitecture) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
+#include "tensor/sparse.h"
 #include "tensor/tensor.h"
 #include "util/memory_tracker.h"
 #include "tests/test_util.h"
@@ -107,6 +108,26 @@ TEST(BackwardTest, GraphFreedAfterHandlesDrop) {
     Tensor y = Matmul(x, Transpose(x));
     for (int i = 0; i < 10; ++i) y = Relu(y);
     Backward(MeanAll(y));
+  }
+  x.ZeroGrad();
+  EXPECT_LE(util::MemoryTracker::Global().live_bytes(), before + 16);
+
+  // Sparse storage too: a normalized adjacency, its cached transpose (built
+  // by Spmm's backward), and copies and moves of the matrix all hand their
+  // bytes back when dropped.
+  {
+    std::vector<std::pair<int, int>> edges;
+    for (int i = 0; i + 1 < 50; ++i) edges.push_back({i, i + 1});
+    auto a_hat = std::make_shared<const SparseMatrix>(
+        NormalizedAdjacency(50, edges));
+    Backward(MeanAll(Spmm(a_hat, x)));
+    SparseMatrix copy = *a_hat;
+    SparseMatrix assigned;
+    assigned = copy;
+    SparseMatrix moved = std::move(copy);
+    SparseMatrix move_assigned;
+    move_assigned = std::move(assigned);
+    EXPECT_GT(util::MemoryTracker::Global().live_bytes(), before + 16);
   }
   x.ZeroGrad();
   EXPECT_LE(util::MemoryTracker::Global().live_bytes(), before + 16);

@@ -928,13 +928,6 @@ graph::Graph Cpgan::GenerateHierarchicalFromLatents(
   bool* aborted = controls.aborted != nullptr ? controls.aborted
                                               : &local_aborted;
   *aborted = false;
-  auto run_phase = [&controls](const std::function<void()>& phase) {
-    if (controls.run_phase) {
-      controls.run_phase(phase);
-    } else {
-      phase();
-    }
-  };
   auto abort_now = [&controls]() {
     return controls.should_abort && controls.should_abort();
   };
@@ -990,28 +983,26 @@ graph::Graph Cpgan::GenerateHierarchicalFromLatents(
     return graph::Graph(num_nodes, {});
   }
   if (probe_ids.size() >= 2) {
-    run_phase([&]() {
-      CPGAN_TRACE_SPAN("hier/probe");
-      t::Matrix probs = ScoreSubgraph(latents, probe_ids);
-      std::vector<std::vector<double>> count(
-          num_communities, std::vector<double>(num_communities, 0.0));
-      const int k = static_cast<int>(probe_ids.size());
-      for (int i = 0; i < k; ++i) {
-        for (int j = i + 1; j < k; ++j) {
-          int a = probe_community[i];
-          int b = probe_community[j];
-          if (a > b) std::swap(a, b);
-          density[a][b] += std::max(0.0f, probs.At(i, j));
-          count[a][b] += 1.0;
-        }
+    CPGAN_TRACE_SPAN("hier/probe");
+    t::Matrix probs = ScoreSubgraph(latents, probe_ids);
+    std::vector<std::vector<double>> count(
+        num_communities, std::vector<double>(num_communities, 0.0));
+    const int k = static_cast<int>(probe_ids.size());
+    for (int i = 0; i < k; ++i) {
+      for (int j = i + 1; j < k; ++j) {
+        int a = probe_community[i];
+        int b = probe_community[j];
+        if (a > b) std::swap(a, b);
+        density[a][b] += std::max(0.0f, probs.At(i, j));
+        count[a][b] += 1.0;
       }
-      for (int a = 0; a < num_communities; ++a) {
-        for (int b = a; b < num_communities; ++b) {
-          if (count[a][b] > 0.0) density[a][b] /= count[a][b];
-          density[b][a] = density[a][b];
-        }
+    }
+    for (int a = 0; a < num_communities; ++a) {
+      for (int b = a; b < num_communities; ++b) {
+        if (count[a][b] > 0.0) density[a][b] /= count[a][b];
+        density[b][a] = density[a][b];
       }
-    });
+    }
   }
 
   CommunitySkeleton skeleton =
@@ -1037,7 +1028,6 @@ graph::Graph Cpgan::GenerateHierarchicalFromLatents(
   }
   options.assembly.max_passes = controls.max_passes;
   options.seed = stream_seed;
-  options.run_phase = controls.run_phase;
   options.should_abort = controls.should_abort;
   options.aborted = aborted;
   return HierAssembleGraph(

@@ -105,12 +105,6 @@ struct GenerateControls {
   /// over the thread pool, then stitch cross-community edges from the
   /// inter-community budget. Bitwise-deterministic at any thread count.
   bool hierarchical = false;
-
-  /// Hierarchical mode only: every kernel-heavy phase (a wave of
-  /// per-community decodes, a stitching wave) runs inside this wrapper, so
-  /// the serving runtime can hold serve::KernelLock() per phase instead of
-  /// across the whole generation. Unset = phases run directly.
-  std::function<void(const std::function<void()>&)> run_phase;
 };
 
 /// Community-Preserving GAN — the paper's primary contribution.
@@ -141,13 +135,11 @@ class Cpgan {
   /// (Section III-G; "new graphs of arbitrary sizes").
   graph::Graph GenerateWithSize(int num_nodes, int64_t num_edges);
 
-  /// Reentrant generation with a caller-owned RNG stream: const, so any
-  /// number of requests can run against one trained model without mutating
-  /// it (kernel execution itself must still be serialized by the caller —
-  /// the thread pool accepts one top-level parallel region at a time; the
-  /// serving runtime holds its decode lock around this call). Observed-size
-  /// and hierarchical outputs decode from the stored posterior latents, so
-  /// no call runs the encoder.
+  /// Reentrant generation with a caller-owned RNG stream: const and safe to
+  /// call from any number of threads at once (the serving runtime decodes
+  /// its requests concurrently; the thread pool accepts regions from several
+  /// callers). Observed-size and hierarchical outputs decode from the stored
+  /// posterior latents, so no call runs the encoder.
   graph::Graph GenerateWith(const GenerateControls& controls,
                             util::Rng& rng) const;
 

@@ -189,13 +189,6 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
     }
     return stopped;
   };
-  auto run_phase = [&options](const std::function<void()>& phase) {
-    if (options.run_phase) {
-      options.run_phase(phase);
-    } else {
-      phase();
-    }
-  };
   util::ThreadPool& pool = util::ThreadPool::Global();
   const int wave =
       options.wave_size > 0 ? options.wave_size : pool.num_threads();
@@ -210,39 +203,36 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
        start += wave) {
     const int end = std::min(num_communities, start + wave);
     ++waves;
-    run_phase([&, start, end]() {
-      CPGAN_TRACE_SPAN("hier/intra_wave");
-      pool.ParallelFor(start, end, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t c = lo; c < hi; ++c) {
-          const std::vector<int>& members = skeleton.members[c];
-          const int size = static_cast<int>(members.size());
-          const int64_t target = skeleton.budget[c][c];
-          if (size < 2 || target <= 0) continue;
-          AssemblyOptions local = options.assembly;
-          bool local_aborted = false;
-          local.should_abort = options.should_abort;
-          local.aborted = &local_aborted;
-          util::Rng rng(HierStreamSeed(options.seed,
-                                       static_cast<uint64_t>(c)));
-          graph::Graph block = AssembleGraph(
-              size, target,
-              [&scorer, &members](const std::vector<int>& local_ids) {
-                std::vector<int> global_ids(local_ids.size());
-                for (size_t i = 0; i < local_ids.size(); ++i) {
-                  global_ids[i] = members[local_ids[i]];
-                }
-                return scorer(global_ids);
-              },
-              local, rng);
-          std::vector<graph::Edge> edges = block.Edges();
-          for (auto& [u, v] : edges) {
-            u = members[u];
-            v = members[v];
-          }
-          intra[c] = std::move(edges);
-          community_aborted[c] = local_aborted ? 1 : 0;
+    CPGAN_TRACE_SPAN("hier/intra_wave");
+    pool.ParallelFor(start, end, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t c = lo; c < hi; ++c) {
+        const std::vector<int>& members = skeleton.members[c];
+        const int size = static_cast<int>(members.size());
+        const int64_t target = skeleton.budget[c][c];
+        if (size < 2 || target <= 0) continue;
+        AssemblyOptions local = options.assembly;
+        bool local_aborted = false;
+        local.should_abort = options.should_abort;
+        local.aborted = &local_aborted;
+        util::Rng rng(HierStreamSeed(options.seed, static_cast<uint64_t>(c)));
+        graph::Graph block = AssembleGraph(
+            size, target,
+            [&scorer, &members](const std::vector<int>& local_ids) {
+              std::vector<int> global_ids(local_ids.size());
+              for (size_t i = 0; i < local_ids.size(); ++i) {
+                global_ids[i] = members[local_ids[i]];
+              }
+              return scorer(global_ids);
+            },
+            local, rng);
+        std::vector<graph::Edge> edges = block.Edges();
+        for (auto& [u, v] : edges) {
+          u = members[u];
+          v = members[v];
         }
-      });
+        intra[c] = std::move(edges);
+        community_aborted[c] = local_aborted ? 1 : 0;
+      }
     });
   }
   for (uint8_t flag : community_aborted) {
@@ -280,58 +270,56 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
     const size_t end =
         std::min(pairs.size(), start + static_cast<size_t>(wave));
     ++waves;
-    run_phase([&, start, end]() {
-      CPGAN_TRACE_SPAN("hier/stitch_wave");
-      pool.ParallelFor(
-          static_cast<int64_t>(start), static_cast<int64_t>(end), 1,
-          [&](int64_t lo, int64_t hi) {
-            for (int64_t p = lo; p < hi; ++p) {
-              const StitchPair& sp = pairs[p];
-              // Boundary candidates scale with the budget so tiny blocks
-              // pay for tiny decodes, capped by kStitchCandidates.
-              const int want = static_cast<int>(std::min<int64_t>(
-                  kStitchCandidates,
-                  4 + static_cast<int64_t>(
-                          std::ceil(2.0 * std::sqrt(
-                                              static_cast<double>(
-                                                  sp.budget))))));
-              std::vector<int> cand_a =
-                  SpreadPick(skeleton.members[sp.a], want);
-              std::vector<int> cand_b =
-                  SpreadPick(skeleton.members[sp.b], want);
-              const int na = static_cast<int>(cand_a.size());
-              const int nb = static_cast<int>(cand_b.size());
-              if (na == 0 || nb == 0) continue;
-              // Communities own disjoint ascending id ranges, so the
-              // concatenation is already sorted.
-              std::vector<int> ids;
-              ids.reserve(na + nb);
-              ids.insert(ids.end(), cand_a.begin(), cand_a.end());
-              ids.insert(ids.end(), cand_b.begin(), cand_b.end());
-              tensor::Matrix probs = scorer(ids);
-              std::vector<double> weights(
-                  static_cast<size_t>(na) * nb);
-              for (int i = 0; i < na; ++i) {
-                for (int j = 0; j < nb; ++j) {
-                  weights[static_cast<size_t>(i) * nb + j] = std::max(
-                      1e-12, static_cast<double>(probs.At(i, na + j)));
-                }
-              }
-              const int64_t draws = std::min<int64_t>(
-                  sp.budget, static_cast<int64_t>(weights.size()));
-              util::Rng rng(HierStreamSeed(options.seed, sp.stream));
-              std::vector<int> picked =
-                  rng.WeightedSampleWithoutReplacement(
-                      weights, static_cast<int>(draws));
-              std::sort(picked.begin(), picked.end());
-              std::vector<graph::Edge>& out = inter[p];
-              out.reserve(picked.size());
-              for (int flat : picked) {
-                out.push_back({cand_a[flat / nb], cand_b[flat % nb]});
+    CPGAN_TRACE_SPAN("hier/stitch_wave");
+    pool.ParallelFor(
+        static_cast<int64_t>(start), static_cast<int64_t>(end), 1,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t p = lo; p < hi; ++p) {
+            const StitchPair& sp = pairs[p];
+            // Boundary candidates scale with the budget so tiny blocks
+            // pay for tiny decodes, capped by kStitchCandidates.
+            const int want = static_cast<int>(std::min<int64_t>(
+                kStitchCandidates,
+                4 + static_cast<int64_t>(
+                        std::ceil(2.0 * std::sqrt(
+                                            static_cast<double>(
+                                                sp.budget))))));
+            std::vector<int> cand_a =
+                SpreadPick(skeleton.members[sp.a], want);
+            std::vector<int> cand_b =
+                SpreadPick(skeleton.members[sp.b], want);
+            const int na = static_cast<int>(cand_a.size());
+            const int nb = static_cast<int>(cand_b.size());
+            if (na == 0 || nb == 0) continue;
+            // Communities own disjoint ascending id ranges, so the
+            // concatenation is already sorted.
+            std::vector<int> ids;
+            ids.reserve(na + nb);
+            ids.insert(ids.end(), cand_a.begin(), cand_a.end());
+            ids.insert(ids.end(), cand_b.begin(), cand_b.end());
+            tensor::Matrix probs = scorer(ids);
+            std::vector<double> weights(
+                static_cast<size_t>(na) * nb);
+            for (int i = 0; i < na; ++i) {
+              for (int j = 0; j < nb; ++j) {
+                weights[static_cast<size_t>(i) * nb + j] = std::max(
+                    1e-12, static_cast<double>(probs.At(i, na + j)));
               }
             }
-          });
-    });
+            const int64_t draws = std::min<int64_t>(
+                sp.budget, static_cast<int64_t>(weights.size()));
+            util::Rng rng(HierStreamSeed(options.seed, sp.stream));
+            std::vector<int> picked =
+                rng.WeightedSampleWithoutReplacement(
+                    weights, static_cast<int>(draws));
+            std::sort(picked.begin(), picked.end());
+            std::vector<graph::Edge>& out = inter[p];
+            out.reserve(picked.size());
+            for (int flat : picked) {
+              out.push_back({cand_a[flat / nb], cand_b[flat % nb]});
+            }
+          }
+        });
   }
 
   // Deterministic merge: community order, then block-pair order. Blocks are

@@ -61,10 +61,9 @@ struct HierAssemblyOptions {
   /// fields below so each community tracks its own abort state.
   AssemblyOptions assembly;
 
-  /// Communities (and stitch block pairs) processed per locked phase; each
-  /// wave is one `run_phase` invocation and one ThreadPool fan-out, and
-  /// `should_abort` is polled between waves. 0 = the global pool's thread
-  /// count.
+  /// Communities (and stitch block pairs) processed per wave; each wave is
+  /// one ThreadPool fan-out, and `should_abort` is polled between waves.
+  /// 0 = the global pool's thread count.
   int wave_size = 0;
 
   /// Base of the per-community (and per-block-pair) RNG streams: community
@@ -72,12 +71,6 @@ struct HierAssemblyOptions {
   /// Rng(mix(seed, C + pair_index)). Streams never interact, which is what
   /// makes the fan-out order irrelevant to the output.
   uint64_t seed = 0;
-
-  /// Every kernel-heavy phase (a wave of per-community decodes, a stitch
-  /// wave) runs inside this wrapper; the serving runtime passes a
-  /// KernelLock() scope so other requests interleave between waves. Unset =
-  /// run directly.
-  std::function<void(const std::function<void()>&)> run_phase;
 
   /// Cooperative cancellation, polled between waves and (via the inner
   /// AssemblyOptions) at every per-community phase boundary. A cancelled

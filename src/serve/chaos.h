@@ -21,15 +21,15 @@ namespace cpgan::serve {
 /// request answered, and every non-ok answer explicitly flagged shed /
 /// degraded / deadline_exceeded / error.
 struct ChaosPlan {
-  /// Slow request: injected client-side stall (before the decode lock) on
-  /// matching requests. Exercises the deadline watchdog.
+  /// Slow request: injected client-side stall (before the decode, polling
+  /// the deadline) on matching requests. Exercises the deadline watchdog.
   int slow_every = 0;  // 0 disables
   int slow_offset = 0;
   double slow_ms = 50.0;
 
-  /// Worker stall: injected stall *inside* the decode lock on matching
-  /// requests, wedging the whole decode engine. Exercises queue buildup and
-  /// load shedding.
+  /// Worker stall: injected uninterruptible stall just before the decode on
+  /// matching requests, wedging the worker that runs it. Once every worker
+  /// is wedged, this exercises queue buildup and load shedding.
   int stall_every = 0;  // 0 disables
   int stall_offset = 0;
   double stall_ms = 100.0;
@@ -82,7 +82,7 @@ class ChaosInjector {
                                                              : 0.0;
   }
 
-  /// Milliseconds of in-lock stall for request `seq` (0 = none).
+  /// Milliseconds of worker stall for request `seq` (0 = none).
   double StallDelayMs(uint64_t seq) const {
     return Matches(plan_.stall_every, plan_.stall_offset, seq) ? plan_.stall_ms
                                                                : 0.0;

@@ -1,5 +1,8 @@
 #include "serve/protocol.h"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -8,11 +11,15 @@
 namespace cpgan::serve {
 namespace {
 
+// The number parsers reject out-of-range text (errno == ERANGE) instead of
+// accepting the saturated value strto* returns for it.
+
 bool ParseInt64(const std::string& text, int64_t* out) {
   if (text.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
   *out = static_cast<int64_t>(value);
   return true;
 }
@@ -20,8 +27,9 @@ bool ParseInt64(const std::string& text, int64_t* out) {
 bool ParseUint64(const std::string& text, uint64_t* out) {
   if (text.empty() || text[0] == '-') return false;
   char* end = nullptr;
+  errno = 0;
   unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
   *out = static_cast<uint64_t>(value);
   return true;
 }
@@ -29,8 +37,12 @@ bool ParseUint64(const std::string& text, uint64_t* out) {
 bool ParseDouble(const std::string& text, double* out) {
   if (text.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
+  if (end == nullptr || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    return false;
+  }
   *out = value;
   return true;
 }
@@ -80,7 +92,7 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error) {
       request.model = value;
     } else if (key == "nodes") {
       int64_t n = 0;
-      ok = ParseInt64(value, &n) && n >= 0;
+      ok = ParseInt64(value, &n) && n >= 0 && n <= INT_MAX;
       request.nodes = static_cast<int>(n);
     } else if (key == "edges") {
       ok = ParseInt64(value, &request.edges) && request.edges >= 0;

@@ -61,8 +61,8 @@ struct Request {
   /// `hier=1`: assemble hierarchically (community skeleton, per-community
   /// decodes, stitched cross edges — docs/INTERNALS.md, "Hierarchical
   /// assembly"). Per-community decode waves become the watchdog's
-  /// cancellation unit and the KernelLock critical section, so long
-  /// hierarchical decodes interleave with other requests.
+  /// cancellation unit, so a long hierarchical decode stops within one wave
+  /// of its deadline.
   bool hierarchical = false;
 
   /// RELOAD only: checkpoint file to hot-swap in.

@@ -24,21 +24,18 @@ std::shared_ptr<ServableModel> ServableModel::Create(const ModelSpec& spec,
   }
   auto servable = std::shared_ptr<ServableModel>(new ServableModel());
   servable->model_ = std::make_unique<core::Cpgan>(spec.config);
-  {
-    std::lock_guard<std::mutex> kernel(KernelLock());
-    if (!spec.checkpoint.empty()) {
-      std::string warm_error;
-      if (!servable->model_->WarmStart(spec.graph, spec.checkpoint,
-                                       &warm_error)) {
-        return fail("warm-load of '" + spec.checkpoint +
-                    "' failed: " + warm_error);
-      }
-    } else {
-      servable->model_->Fit(spec.graph);
+  if (!spec.checkpoint.empty()) {
+    std::string warm_error;
+    if (!servable->model_->WarmStart(spec.graph, spec.checkpoint,
+                                     &warm_error)) {
+      return fail("warm-load of '" + spec.checkpoint +
+                  "' failed: " + warm_error);
     }
-    if (!servable->model_->trained()) {
-      return fail("model '" + spec.name + "' is untrained after build");
-    }
+  } else {
+    servable->model_->Fit(spec.graph);
+  }
+  if (!servable->model_->trained()) {
+    return fail("model '" + spec.name + "' is untrained after build");
   }
   servable->observed_nodes_ = spec.graph.num_nodes();
   servable->observed_edges_ = spec.graph.num_edges();
@@ -92,11 +89,11 @@ bool ModelRegistry::Reload(const std::string& name,
   spec.checkpoint = checkpoint;
 
   // Each attempt builds + validates a full candidate; the installed model
-  // keeps serving throughout (builds interleave with decodes on
-  // KernelLock). A checkpoint that fails validation is definitive, but the
-  // backoff loop treats every failure as retryable: a torn read during an
-  // in-flight atomic replace heals on a later attempt, and a truly corrupt
-  // file just spends the (bounded) retry budget before reporting.
+  // keeps serving throughout (builds run alongside decodes). A checkpoint
+  // that fails validation is definitive, but the backoff loop treats every
+  // failure as retryable: a torn read during an in-flight atomic replace
+  // heals on a later attempt, and a truly corrupt file just spends the
+  // (bounded) retry budget before reporting.
   std::shared_ptr<ServableModel> candidate;
   std::string attempt_error;
   util::Rng retry_rng(spec.config.seed ^ 0x9E1E7E57A11ULL);

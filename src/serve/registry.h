@@ -15,11 +15,12 @@
 
 namespace cpgan::serve {
 
-/// Process-wide lock serializing kernel-heavy serving work (request decodes
-/// and warm model builds). The thread pool supports exactly one top-level
-/// parallel region at a time (util/thread_pool.h), so server workers take
-/// this lock around anything that runs kernels; concurrency lives in the
-/// queue/watchdog structure, parallelism inside the lock.
+/// A process-wide mutex that nothing in the library takes: decodes and
+/// model builds run concurrently, because the thread pool accepts parallel
+/// regions from several threads (util/thread_pool.h). It stays only because
+/// the repository benchmark still locks it (CheckServeReplays in
+/// perfbench/perfbench.cc), and the benchmark changes separately from the
+/// program. Delete it together with that call.
 std::mutex& KernelLock();
 
 /// How to build one servable model.
@@ -37,13 +38,13 @@ struct ModelSpec {
 };
 
 /// An immutable trained model. The model encodes its observed graph once
-/// at load time; Generate() is const and safe to call from any worker
-/// holding KernelLock().
+/// at load time; Generate() is const and safe to call from any number of
+/// workers at once.
 class ServableModel {
  public:
-  /// Builds (warm-load or in-process train) a model. Runs kernels — takes
-  /// KernelLock() internally. Returns nullptr with `error` set on failure;
-  /// `chaos`, if given, may inject one transient load failure per attempt.
+  /// Builds (warm-load or in-process train) a model; may run while other
+  /// threads decode. Returns nullptr with `error` set on failure; `chaos`,
+  /// if given, may inject one transient load failure per attempt.
   /// The result is mutable only so the registry can stamp version(); it is
   /// stored and served as const.
   static std::shared_ptr<ServableModel> Create(const ModelSpec& spec,
@@ -51,11 +52,6 @@ class ServableModel {
                                                ChaosInjector* chaos);
 
   /// Decodes one graph with a caller-owned RNG stream (Cpgan::GenerateWith).
-  /// Caller must hold KernelLock() — except when `controls.hierarchical` is
-  /// set with a `controls.run_phase` wrapper, in which case the caller must
-  /// NOT hold the lock: every kernel-heavy phase (probe, per-community
-  /// decode wave, stitch wave) runs inside `run_phase`, so the wrapper takes
-  /// KernelLock() per phase and other requests interleave between waves.
   graph::Graph Generate(const core::GenerateControls& controls,
                         util::Rng& rng) const {
     return model_->GenerateWith(controls, rng);

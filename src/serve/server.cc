@@ -307,46 +307,22 @@ Response Server::Process(Job& job) {
   controls.aborted = &aborted;
   controls.should_abort = cancelled;
   controls.hierarchical = request.hierarchical;
-  if (request.hierarchical) {
-    // Hierarchical assembly runs each kernel-heavy phase (a wave of
-    // per-community decodes, a stitch wave) inside this wrapper, so the
-    // KernelLock critical section narrows from the whole decode to one
-    // wave: other requests interleave between waves, and the watchdog's
-    // cancellation lands at wave boundaries instead of waiting out a full
-    // flat decode.
-    controls.run_phase = [](const std::function<void()>& phase) {
-      std::lock_guard<std::mutex> kernel(KernelLock());
-      phase();
-    };
-  }
 
   util::Rng rng(request.seed);
   graph::Graph generated(0);
   {
     CPGAN_TRACE_SPAN("serve/decode");
-    // Chaos: worker stall inside the decode lock — wedges the whole decode
-    // engine, deliberately not interruptible (a stuck kernel would not be
-    // either). Queued requests pile up behind it and shed or expire; this
-    // request itself is answered deadline_exceeded below if it ran over.
-    double stall_ms = chaos_.StallDelayMs(job.id);
-    if (request.hierarchical) {
-      if (stall_ms > 0.0) {
-        std::lock_guard<std::mutex> kernel(KernelLock());
-        SleepMs(stall_ms);
-      }
-      if (!cancelled()) {
-        generated = model->Generate(controls, rng);
-      } else {
-        aborted = true;
-      }
+    // Chaos: worker stall just before the decode — wedges this worker,
+    // deliberately not interruptible (a stuck kernel would not be either).
+    // Queued requests wait for the other workers and shed or expire once
+    // every worker is wedged; this request itself is answered
+    // deadline_exceeded below if it ran over.
+    const double stall_ms = chaos_.StallDelayMs(job.id);
+    if (stall_ms > 0.0) SleepMs(stall_ms);
+    if (!cancelled()) {
+      generated = model->Generate(controls, rng);
     } else {
-      std::lock_guard<std::mutex> kernel(KernelLock());
-      if (stall_ms > 0.0) SleepMs(stall_ms);
-      if (!cancelled()) {
-        generated = model->Generate(controls, rng);
-      } else {
-        aborted = true;
-      }
+      aborted = true;
     }
   }
   if (aborted || cancelled()) {

@@ -23,9 +23,10 @@ namespace cpgan::serve {
 
 /// Tuning knobs of the generation server (docs/SERVING.md).
 struct ServerOptions {
-  /// Worker threads draining the request queue. Workers serialize kernel
-  /// work on KernelLock(); extra workers overlap queueing, chaos stalls,
-  /// deadline handling, and I/O with decoding.
+  /// Worker threads draining the request queue. Each worker decodes its
+  /// request independently of the others; a worker whose decode finds the
+  /// kernel thread pool busy with another request's region runs that region
+  /// on its own thread (util/thread_pool.h).
   int num_workers = 2;
 
   /// Bounded request queue: submissions beyond this depth are shed
@@ -93,8 +94,8 @@ struct ServerStats {
 ///
 /// Structure: Submit() enqueues into a bounded queue (shedding when full)
 /// and blocks until the response is published; worker threads drain the
-/// queue and decode under KernelLock(); a watchdog thread cancels expired
-/// jobs at the next phase boundary. The serving contract — every submitted
+/// queue and decode concurrently; a watchdog thread cancels expired jobs at
+/// the next phase boundary. The serving contract — every submitted
 /// request terminates with a response, and every non-ok response is
 /// explicitly flagged — holds under every ChaosPlan fault class (enforced
 /// by tests/serve/chaos_test.cc under ASan and TSan).

@@ -15,11 +15,21 @@ class Deadline {
 
   /// Deadline `ms` milliseconds from now (ms <= 0 yields an already-expired
   /// deadline, which callers use to force the timeout path in tests).
+  /// Budgets at or past the end of the clock's range (about 292 years of
+  /// nanoseconds), +inf and NaN included, saturate at the clock's maximum.
   static Deadline AfterMillis(double ms) {
+    using Ticks = std::chrono::duration<double, Clock::period>;
     Deadline d;
     d.has_deadline_ = true;
-    d.at_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double, std::milli>(ms));
+    const Clock::time_point now = Clock::now();
+    const Ticks budget = std::chrono::duration<double, std::milli>(ms);
+    if (ms <= 0.0) {
+      d.at_ = now;
+    } else if (budget < Ticks(Clock::time_point::max() - now)) {
+      d.at_ = now + std::chrono::duration_cast<Clock::duration>(budget);
+    } else {
+      d.at_ = Clock::time_point::max();
+    }
     return d;
   }
 

@@ -98,7 +98,26 @@ void ThreadPool::ParallelForChunked(
     const std::function<void(int64_t, int64_t, int64_t)>& fn) {
   const int64_t num_chunks = NumChunks(begin, end, grain);
   if (num_chunks == 0) return;
-  if (num_chunks == 1 || num_threads_ == 1 || t_inside_parallel_region) {
+
+  Job job;
+  bool posted = false;
+  if (num_chunks > 1 && num_threads_ > 1 && !t_inside_parallel_region) {
+    job.fn = &fn;
+    job.request_context = obs::CurrentRequestContext();
+    job.begin = begin;
+    job.end = end;
+    job.grain = grain;
+    job.num_chunks = num_chunks;
+    // The workers serve one region at a time. A caller that finds them
+    // taken by another thread's region runs its own on the serial path.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (job_ == nullptr) {
+      job_ = &job;
+      ++job_epoch_;
+      posted = true;
+    }
+  }
+  if (!posted) {
     // Serial path: same chunk boundaries, executed in chunk order inline.
     // (Exceptions propagate naturally.)
     CPGAN_COUNTER_ADD("threadpool/inline_regions", 1);
@@ -112,19 +131,6 @@ void ThreadPool::ParallelForChunked(
 
   CPGAN_COUNTER_ADD("threadpool/regions", 1);
   CPGAN_COUNTER_ADD("threadpool/chunks", static_cast<uint64_t>(num_chunks));
-
-  Job job;
-  job.fn = &fn;
-  job.request_context = obs::CurrentRequestContext();
-  job.begin = begin;
-  job.end = end;
-  job.grain = grain;
-  job.num_chunks = num_chunks;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_ = &job;
-    ++job_epoch_;
-  }
   work_cv_.notify_all();
 
   // The caller works too.

@@ -22,10 +22,13 @@ namespace cpgan::util {
 /// decides *which thread* runs a chunk; results are bitwise identical for
 /// any pool size, including 1. See docs/INTERNALS.md ("Threading model").
 ///
-/// Parallel regions are issued from one control thread at a time (every
-/// kernel in this library runs on the caller's thread of control; regions
-/// started from inside a region run inline). Concurrent top-level
-/// ParallelFor calls from distinct user threads are not supported.
+/// Any number of threads may post regions at once (the serving runtime
+/// decodes several requests concurrently). The workers serve one region at
+/// a time: a caller that finds them taken by another thread's region runs
+/// its own region on its own thread, through the serial path with the same
+/// chunk boundaries and chunk order, so the determinism contract holds for
+/// every caller. Regions started from inside a region run inline the same
+/// way.
 class ThreadPool {
  public:
   /// Spawns `num_threads - 1` workers (the calling thread participates in
@@ -47,7 +50,7 @@ class ThreadPool {
   static ThreadPool& Global();
 
   /// Resizes the global pool (tears the workers down and respawns them).
-  /// Must not be called while a parallel region is executing.
+  /// Must not be called while any thread may be executing a parallel region.
   static void SetGlobalThreads(int num_threads);
 
   /// Thread count requested by CPGAN_NUM_THREADS (clamped), or the hardware
@@ -61,9 +64,11 @@ class ThreadPool {
   /// Runs fn(chunk_begin, chunk_end) for every chunk of [begin, end).
   /// Chunks are claimed dynamically by the workers plus the calling thread,
   /// so skewed chunks load-balance, but the chunk boundaries themselves are
-  /// static (see class comment). Calls made from inside a parallel region
-  /// run inline and serially (nested-call safe). The first exception thrown
-  /// by fn is rethrown on the calling thread after all chunks finish.
+  /// static (see class comment). Calls made from inside a parallel region,
+  /// or while another thread's region holds the workers, run inline and
+  /// serially (nested-call safe). The first exception thrown by fn is
+  /// rethrown on the calling thread after all chunks finish; other callers
+  /// never see it.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int64_t, int64_t)>& fn);
 
@@ -107,8 +112,9 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  // workers wait here for a job
-  std::condition_variable done_cv_;  // the caller waits here for completion
-  Job* job_ = nullptr;               // guarded by mutex_
+  std::condition_variable done_cv_;  // job_'s poster waits here
+  Job* job_ = nullptr;               // guarded by mutex_; the region
+                                     // holding the workers, if any
   uint64_t job_epoch_ = 0;           // guarded by mutex_; bumps per job
   bool shutdown_ = false;            // guarded by mutex_
 };

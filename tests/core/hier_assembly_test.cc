@@ -259,38 +259,6 @@ TEST(HierAssemblyTest, EmptyAndSingletonCommunities) {
             0);
 }
 
-TEST(HierAssemblyTest, PhasesRunInsideRunPhaseWrapper) {
-  std::vector<int> observed_labels = {0, 0, 1, 1, 2, 2};
-  std::vector<std::vector<double>> density(3, std::vector<double>(3, 0.3));
-  CommunitySkeleton skeleton =
-      BuildSkeleton(observed_labels, 36, 100, density);
-  std::vector<int> labels = NodeLabels(skeleton);
-  HierAssemblyOptions options;
-  options.seed = 41;
-  options.wave_size = 1;
-  int phases = 0;
-  bool inside = false;
-  SubgraphScorer scorer = [&labels, &inside](const std::vector<int>& ids) {
-    EXPECT_TRUE(inside);  // every decode happens inside the wrapper
-    return PlantedScorer(labels)(ids);
-  };
-  options.run_phase = [&](const std::function<void()>& phase) {
-    ++phases;
-    inside = true;
-    phase();
-    inside = false;
-  };
-  graph::Graph wrapped = HierAssembleGraph(skeleton, scorer, options);
-  // wave_size=1: one phase per populated community plus one per stitch
-  // pair with budget.
-  EXPECT_GE(phases, 3);
-  // The wrapper is transparent: same output as running phases directly.
-  options.run_phase = nullptr;
-  graph::Graph direct =
-      HierAssembleGraph(skeleton, PlantedScorer(labels), options);
-  EXPECT_EQ(wrapped.Edges(), direct.Edges());
-}
-
 // ----- End-to-end: the trained model's hierarchical generation. -----
 
 graph::Graph TrainFixture(Cpgan* model) {

@@ -132,7 +132,7 @@ TEST_F(ChaosTest, WorkerStallShedsOverflowThenRecovers) {
   options.queue_capacity = 2;
   Server server(&SharedServeRegistry(), options);
   ChaosPlan plan;
-  plan.stall_every = 1;        // every decode holds the kernel lock extra
+  plan.stall_every = 1;        // every decode wedges its worker first
   plan.stall_ms = 30.0;
   server.SetChaos(plan);
   server.Start();

@@ -76,6 +76,20 @@ TEST(Protocol, RejectsMalformedInput) {
   EXPECT_NE(error.find("malformed pair"), std::string::npos);
   EXPECT_FALSE(ParseRequest("RELOAD model=x", &request, &error));
   EXPECT_NE(error.find("checkpoint"), std::string::npos);
+  // Out-of-range numbers are rejected, not wrapped or saturated.
+  EXPECT_FALSE(ParseRequest("GENERATE nodes=4294967297", &request, &error));
+  EXPECT_NE(error.find("bad value"), std::string::npos);
+  EXPECT_FALSE(ParseRequest("GENERATE nodes=3000000000", &request, &error));
+  EXPECT_FALSE(ParseRequest("GENERATE nodes=2147483648", &request, &error));
+  EXPECT_TRUE(ParseRequest("GENERATE nodes=2147483647", &request, &error));
+  EXPECT_EQ(request.nodes, 2147483647);
+  EXPECT_FALSE(ParseRequest("GENERATE seed=99999999999999999999999",
+                            &request, &error));
+  EXPECT_FALSE(
+      ParseRequest("GENERATE edges=99999999999999999999", &request, &error));
+  EXPECT_FALSE(ParseRequest("GENERATE deadline_ms=inf", &request, &error));
+  EXPECT_FALSE(ParseRequest("GENERATE deadline_ms=nan", &request, &error));
+  EXPECT_FALSE(ParseRequest("GENERATE deadline_ms=1e999", &request, &error));
 }
 
 TEST(Protocol, BlankAndCommentLinesReportEmpty) {

@@ -117,11 +117,7 @@ TEST(RegistryReload, SnapshotsOutliveTheSwap) {
   // The old snapshot still decodes correctly after being replaced.
   core::GenerateControls controls;
   util::Rng rng(7);
-  graph::Graph generated(0);
-  {
-    std::lock_guard<std::mutex> kernel(KernelLock());
-    generated = snapshot->Generate(controls, rng);
-  }
+  graph::Graph generated = snapshot->Generate(controls, rng);
   EXPECT_EQ(generated.num_nodes(), observed_nodes);
 }
 

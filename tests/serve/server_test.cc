@@ -1,10 +1,12 @@
 // Server behavior under normal operation: per-seed bitwise determinism,
-// deadline flagging, shedding when stopped, protocol dispatch (RELOAD /
-// STATS / parse errors), warm-load equivalence, and the JSONL request log.
+// concurrent decodes, deadline flagging, shedding when stopped, protocol
+// dispatch (RELOAD / STATS / parse errors), warm-load equivalence, and the
+// JSONL request log.
 
 #include "serve/server.h"
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "serve/registry.h"
 #include "tests/serve/serve_test_util.h"
 #include "util/memory_tracker.h"
+#include "util/thread_pool.h"
 
 namespace cpgan::serve {
 namespace {
@@ -88,6 +91,63 @@ TEST_F(ServerTest, HierarchicalRequestIsDeterministicAndSized) {
   ASSERT_EQ(big_response.status, ResponseStatus::kOk) << big_response.detail;
   EXPECT_EQ(big_response.nodes, ServeTestGraph().num_nodes() * 2);
   EXPECT_GT(big_response.edges, 0);
+}
+
+TEST_F(ServerTest, ConcurrentDecodesMatchSerialGenerate) {
+  // Four clients keep four workers decoding at once, mixing flat, hier=1
+  // and sized hier=1 requests, at kernel pool sizes 1 and 4. Every output
+  // file must equal the serial decode of its seed, edge for edge.
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 3;
+  const int observed = ServeTestGraph().num_nodes();
+  std::shared_ptr<const ServableModel> model =
+      SharedServeRegistry().Find("default");
+  const int threads_before = util::ThreadPool::Global().num_threads();
+  for (int threads : {1, 4}) {
+    util::ThreadPool::SetGlobalThreads(threads);
+    std::string dir = ServeTempDir("server_concurrent");
+    std::vector<Request> requests(kClients * kPerClient);
+    for (size_t r = 0; r < requests.size(); ++r) {
+      requests[r].seed = 500 + r;
+      requests[r].hierarchical = r % 3 != 0;
+      if (r % 3 == 2) requests[r].nodes = 2 * observed;
+      requests[r].out = dir + "/" + std::to_string(r) + ".txt";
+    }
+    ServerOptions options = QuickOptions();
+    options.num_workers = kClients;
+    Server server(&SharedServeRegistry(), options);
+    server.Start();
+    std::vector<Response> responses(requests.size());
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int i = 0; i < kPerClient; ++i) {
+          const int r = c * kPerClient + i;
+          responses[r] = server.Submit(requests[r]);
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    server.Stop();
+
+    for (size_t r = 0; r < requests.size(); ++r) {
+      ASSERT_EQ(responses[r].status, ResponseStatus::kOk)
+          << "threads=" << threads << " request " << r << ": "
+          << responses[r].detail;
+      core::GenerateControls controls;
+      controls.num_nodes = requests[r].nodes;
+      controls.hierarchical = requests[r].hierarchical;
+      util::Rng rng(requests[r].seed);
+      std::string expected;
+      for (const auto& [u, v] : model->Generate(controls, rng).Edges()) {
+        expected += std::to_string(u) + " " + std::to_string(v) + "\n";
+      }
+      ASSERT_FALSE(expected.empty());
+      EXPECT_EQ(SlurpFile(requests[r].out), expected)
+          << "threads=" << threads << " request " << r;
+    }
+  }
+  util::ThreadPool::SetGlobalThreads(threads_before);
 }
 
 TEST_F(ServerTest, ArbitrarySizeRequestUsesPriorPath) {

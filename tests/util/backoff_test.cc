@@ -5,6 +5,7 @@
 #include "util/backoff.h"
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,17 @@ TEST(Deadline, FutureDeadlineNotYetExpired) {
   double remaining = d.remaining_ms();
   EXPECT_GT(remaining, 0.0);
   EXPECT_LE(remaining, 60000.0);
+}
+
+TEST(Deadline, BudgetsPastTheClockRangeSaturate) {
+  // 1e13 ms is past the int64-nanosecond steady clock's range; a plain
+  // conversion overflows into a deadline that has already expired.
+  for (double ms : {1e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    Deadline d = Deadline::AfterMillis(ms);
+    EXPECT_FALSE(d.unlimited()) << ms;
+    EXPECT_FALSE(d.expired()) << ms;
+    EXPECT_GT(d.remaining_ms(), 1e12) << ms;
+  }
 }
 
 }  // namespace

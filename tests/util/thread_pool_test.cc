@@ -1,14 +1,17 @@
 // Unit tests for the deterministic work-sharing thread pool: static
 // chunking, empty/degenerate ranges, nested-call safety, exception
-// propagation, deterministic reductions, and global-pool resizing.
+// propagation, deterministic reductions, concurrent callers, and
+// global-pool resizing.
 
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
@@ -131,6 +134,91 @@ TEST(ThreadPoolTest, ParallelSumBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial, parallel) << "threads=" << threads;
   }
   ThreadPool::SetGlobalThreads(1);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersShareOnePool) {
+  // Four threads post regions into one 4-thread pool at once. Whoever finds
+  // the workers busy runs its region serially, so every caller must still
+  // cover each index once, see the static chunk boundaries, reduce
+  // bitwise-identically to a 1-thread pool, and see only its own exception.
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 200;
+  const int64_t n = 4099;
+  std::vector<float> values(n);
+  cpgan::util::Rng rng(7);
+  for (float& v : values) v = static_cast<float>(rng.Normal(0.0, 10.0));
+  auto sum_body = [&values](int64_t b, int64_t e) {
+    double acc = 0.0;
+    for (int64_t i = b; i < e; ++i) acc += values[i];
+    return acc;
+  };
+  auto grain_of = [](int caller) { return static_cast<int64_t>(61 + caller); };
+
+  ThreadPool::SetGlobalThreads(1);
+  std::vector<double> serial_sums(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    serial_sums[c] = ParallelSum(c, n, grain_of(c), sum_body);
+  }
+  ThreadPool::SetGlobalThreads(4);
+  ThreadPool& pool = ThreadPool::Global();
+
+  std::vector<int> bad_hits(kCallers, 0);
+  std::vector<int> bad_chunks(kCallers, 0);
+  std::vector<int> bad_sums(kCallers, 0);
+  std::vector<int> caught(kCallers, 0);
+  std::vector<int> unexpected(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      const int64_t grain = grain_of(c);
+      try {
+        for (int round = 0; round < kRounds; ++round) {
+          std::vector<std::atomic<int>> hits(n);
+          for (auto& h : hits) h.store(0);
+          pool.ParallelFor(0, n, grain, [&](int64_t b, int64_t e) {
+            for (int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
+          });
+          for (const auto& h : hits) bad_hits[c] += h.load() != 1;
+
+          const int64_t nc = ThreadPool::NumChunks(c, n, grain);
+          std::vector<std::pair<int64_t, int64_t>> chunks(nc);
+          pool.ParallelForChunked(c, n, grain,
+                                  [&](int64_t b, int64_t e, int64_t k) {
+                                    chunks[k] = {b, e};
+                                  });
+          for (int64_t k = 0; k < nc; ++k) {
+            const int64_t b = c + k * grain;
+            const std::pair<int64_t, int64_t> want(b, std::min(n, b + grain));
+            bad_chunks[c] += chunks[k] != want;
+          }
+
+          bad_sums[c] += ParallelSum(c, n, grain, sum_body) != serial_sums[c];
+
+          if (c == 0) {
+            try {
+              pool.ParallelFor(0, 100, 1, [](int64_t b, int64_t) {
+                if (b == 37) throw std::runtime_error("boom");
+              });
+            } catch (const std::runtime_error&) {
+              ++caught[c];
+            }
+          }
+        }
+      } catch (...) {
+        ++unexpected[c];
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  ThreadPool::SetGlobalThreads(1);
+
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(bad_hits[c], 0) << "caller " << c;
+    EXPECT_EQ(bad_chunks[c], 0) << "caller " << c;
+    EXPECT_EQ(bad_sums[c], 0) << "caller " << c;
+    EXPECT_EQ(unexpected[c], 0) << "caller " << c;
+    EXPECT_EQ(caught[c], c == 0 ? kRounds : 0) << "caller " << c;
+  }
 }
 
 TEST(ThreadPoolTest, ThreadsFromEnvParsesAndClamps) {

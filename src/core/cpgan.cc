@@ -33,17 +33,6 @@ namespace t = cpgan::tensor;
 
 namespace {
 
-/// Gathers rows of a plain matrix.
-t::Matrix GatherMatrixRows(const t::Matrix& m, const std::vector<int>& ids) {
-  t::Matrix out(static_cast<int>(ids.size()), m.cols());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const float* src = m.Row(ids[i]);
-    float* dst = out.Row(static_cast<int>(i));
-    for (int c = 0; c < m.cols(); ++c) dst[c] = src[c];
-  }
-  return out;
-}
-
 /// Remaps raw community labels into [0, buckets) by size rank (largest
 /// community -> bucket 0, ..., wrapping with modulo).
 std::vector<int> RemapLabels(const std::vector<int>& labels, int buckets) {
@@ -854,6 +843,7 @@ void Cpgan::EncodeObserved() {
   for (const t::Tensor& z : vae_out.z_vae) {
     posterior_latents_.push_back(z.value());
   }
+  edge_table_ = decoder_->EmbeddingTable(posterior_latents_);
   // Pooling disabled (CPGAN-noH): the Louvain targets are the learned
   // representation's training signal; use them directly.
   community_labels_ = enc.assignments.empty()
@@ -871,24 +861,21 @@ const std::vector<int>& Cpgan::LearnedCommunityLabels() const {
   return community_labels_;
 }
 
-t::Matrix Cpgan::ScoreSubgraph(const std::vector<t::Matrix>& latents,
-                               const std::vector<int>& ids) const {
-  std::vector<t::Tensor> z;
-  z.reserve(latents.size());
-  for (const t::Matrix& level : latents) {
-    z.push_back(t::Constant(GatherMatrixRows(level, ids)));
-  }
-  t::Tensor h = decoder_->DecodeNodes(z);
-  return t::Sigmoid(decoder_->EdgeLogits(h)).value();
-}
-
 graph::Graph Cpgan::GenerateFromLatents(const std::vector<t::Matrix>& latents,
                                         int num_nodes, int64_t num_edges,
                                         const GenerateControls& controls,
                                         util::Rng& rng) const {
   CPGAN_CHECK(trained_);
   CPGAN_CHECK(!latents.empty());
-  CPGAN_CHECK_EQ(latents[0].rows(), num_nodes);
+  return GenerateFromTable(decoder_->EmbeddingTable(latents), num_nodes,
+                           num_edges, controls, rng);
+}
+
+graph::Graph Cpgan::GenerateFromTable(const t::Matrix& table, int num_nodes,
+                                      int64_t num_edges,
+                                      const GenerateControls& controls,
+                                      util::Rng& rng) const {
+  CPGAN_CHECK_EQ(table.rows(), num_nodes);
   AssemblyOptions options;
   if (controls.subgraph_size > 0) {
     options.subgraph_size = controls.subgraph_size;
@@ -903,8 +890,8 @@ graph::Graph Cpgan::GenerateFromLatents(const std::vector<t::Matrix>& latents,
   options.aborted = controls.aborted;
   return AssembleGraph(
       num_nodes, num_edges,
-      [this, &latents](const std::vector<int>& ids) {
-        return ScoreSubgraph(latents, ids);
+      [this, &table](const std::vector<int>& ids) {
+        return decoder_->ScoreBlock(table, ids);
       },
       options, rng);
 }
@@ -916,8 +903,16 @@ graph::Graph Cpgan::GenerateHierarchicalFromLatents(
     util::Rng& rng) const {
   CPGAN_CHECK(trained_);
   CPGAN_CHECK(!latents.empty());
-  CPGAN_CHECK_EQ(static_cast<int>(community_labels.size()),
-                 latents[0].rows());
+  return GenerateHierarchicalFromTable(decoder_->EmbeddingTable(latents),
+                                       community_labels, num_nodes, num_edges,
+                                       controls, rng);
+}
+
+graph::Graph Cpgan::GenerateHierarchicalFromTable(
+    const t::Matrix& table, const std::vector<int>& community_labels,
+    int num_nodes, int64_t num_edges, const GenerateControls& controls,
+    util::Rng& rng) const {
+  CPGAN_CHECK_EQ(static_cast<int>(community_labels.size()), table.rows());
   CPGAN_TRACE_SPAN("hier/generate");
 
   // Per-request stream base, drawn before any early exit so the RNG
@@ -943,10 +938,10 @@ graph::Graph Cpgan::GenerateHierarchicalFromLatents(
     obs_members[community_labels[v]].push_back(static_cast<int>(v));
   }
 
-  // Probe decode: a few evenly spread members per community scored in one
-  // decoder pass; block densities are the mean decoded probability per
-  // community pair. This is the skeleton's inter-community edge-budget
-  // signal, read straight from the learned pooled representation.
+  // Probe: a few evenly spread members per community scored in one block;
+  // block densities are the mean decoded probability per community pair.
+  // This is the skeleton's inter-community edge-budget signal, read
+  // straight from the learned pooled representation.
   constexpr int kProbePerCommunity = 8;
   std::vector<int> probe_ids;
   std::vector<int> probe_community;
@@ -984,7 +979,7 @@ graph::Graph Cpgan::GenerateHierarchicalFromLatents(
   }
   if (probe_ids.size() >= 2) {
     CPGAN_TRACE_SPAN("hier/probe");
-    t::Matrix probs = ScoreSubgraph(latents, probe_ids);
+    t::Matrix probs = decoder_->ScoreBlock(table, probe_ids);
     std::vector<std::vector<double>> count(
         num_communities, std::vector<double>(num_communities, 0.0));
     const int k = static_cast<int>(probe_ids.size());
@@ -1008,7 +1003,7 @@ graph::Graph Cpgan::GenerateHierarchicalFromLatents(
   CommunitySkeleton skeleton =
       BuildSkeleton(community_labels, num_nodes, num_edges, density);
 
-  // Each output node borrows the latent row of an observed member of its
+  // Each output node borrows the table row of an observed member of its
   // community (cycling when the output outgrows the training graph).
   std::vector<int> row_of(num_nodes, 0);
   for (int c = 0; c < skeleton.num_communities(); ++c) {
@@ -1032,10 +1027,10 @@ graph::Graph Cpgan::GenerateHierarchicalFromLatents(
   options.aborted = aborted;
   return HierAssembleGraph(
       skeleton,
-      [this, &latents, &row_of](const std::vector<int>& ids) {
+      [this, &table, &row_of](const std::vector<int>& ids) {
         std::vector<int> rows(ids.size());
         for (size_t i = 0; i < ids.size(); ++i) rows[i] = row_of[ids[i]];
-        return ScoreSubgraph(latents, rows);
+        return decoder_->ScoreBlock(table, rows);
       },
       options);
 }
@@ -1054,14 +1049,13 @@ graph::Graph Cpgan::GenerateWith(const GenerateControls& controls,
                                 : std::max<int64_t>(1, m * num_nodes / n);
   if (controls.hierarchical) {
     // The skeleton scales the observed community profile, so hierarchical
-    // outputs decode from the posterior latents at any size.
-    return GenerateHierarchicalFromLatents(posterior_latents_,
-                                           community_labels_, num_nodes,
-                                           num_edges, controls, rng);
+    // outputs score from the posterior table at any size.
+    return GenerateHierarchicalFromTable(edge_table_, community_labels_,
+                                         num_nodes, num_edges, controls, rng);
   }
   if (!controls.from_prior && num_nodes == n) {
-    return GenerateFromLatents(posterior_latents_, num_nodes, num_edges,
-                               controls, rng);
+    return GenerateFromTable(edge_table_, num_nodes, num_edges, controls,
+                             rng);
   }
   std::vector<t::Matrix> latents;
   for (int l = 0; l < effective_levels_; ++l) {
@@ -1093,19 +1087,14 @@ graph::Graph Cpgan::GenerateWithSize(int num_nodes, int64_t num_edges) {
 }
 
 std::vector<double> Cpgan::EdgeProbabilities(
-    const std::vector<graph::Edge>& pairs) {
+    const std::vector<graph::Edge>& pairs) const {
   CPGAN_CHECK(trained_);
-  std::vector<t::Tensor> z;
-  z.reserve(posterior_latents_.size());
-  for (const t::Matrix& level : posterior_latents_) {
-    z.push_back(t::Constant(level));
-  }
-  t::Tensor h = decoder_->DecodeNodes(z);
-  t::Matrix e = decoder_->EdgeEmbeddings(h).value();
+  const t::Matrix& e = edge_table_;
   std::vector<double> probs;
   probs.reserve(pairs.size());
   double bias = decoder_->edge_bias();
   for (const auto& [u, v] : pairs) {
+    CPGAN_CHECK(u >= 0 && u < e.rows() && v >= 0 && v < e.rows());
     double dot = bias;
     const float* eu = e.Row(u);
     const float* ev = e.Row(v);

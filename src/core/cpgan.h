@@ -138,8 +138,10 @@ class Cpgan {
   /// Reentrant generation with a caller-owned RNG stream: const and safe to
   /// call from any number of threads at once (the serving runtime decodes
   /// its requests concurrently; the thread pool accepts regions from several
-  /// callers). Observed-size and hierarchical outputs decode from the stored
-  /// posterior latents, so no call runs the encoder.
+  /// callers). Observed-size flat and all hierarchical outputs score from
+  /// the stored edge-embedding table, so they run neither the encoder nor
+  /// the decoder; a prior-latent request runs one decoder pass over its
+  /// noise latents.
   graph::Graph GenerateWith(const GenerateControls& controls,
                             util::Rng& rng) const;
 
@@ -150,7 +152,8 @@ class Cpgan {
   const std::vector<tensor::Matrix>& PosteriorMeanLatents() const;
 
   /// Assembly over precomputed latents (posterior means or prior draws).
-  /// `num_nodes` must match the latents' row count.
+  /// `num_nodes` must match the latents' row count. Decodes the latents
+  /// into an edge-embedding table once, then scores every chunk from it.
   graph::Graph GenerateFromLatents(const std::vector<tensor::Matrix>& latents,
                                    int num_nodes, int64_t num_edges,
                                    const GenerateControls& controls,
@@ -171,8 +174,10 @@ class Cpgan {
   /// community, the inter-community edge-budget matrix comes from a decoded
   /// probe of the block densities, per-community decodes fan out over the
   /// thread pool with per-community RNG streams, and cross-community edges
-  /// are stitched from boundary-node scores. Bitwise-deterministic at any
-  /// thread count for a fixed `rng` seed.
+  /// are stitched from boundary-node scores. The latents are decoded into
+  /// an edge-embedding table once; the probe, every community and every
+  /// stitch pair score from it. Bitwise-deterministic at any thread count
+  /// for a fixed `rng` seed.
   graph::Graph GenerateHierarchicalFromLatents(
       const std::vector<tensor::Matrix>& latents,
       const std::vector<int>& community_labels, int num_nodes,
@@ -191,8 +196,11 @@ class Cpgan {
                  std::string* error = nullptr);
 
   /// Edge probability for each node pair under the trained
-  /// reconstruction path (used for NLL evaluation, Table V).
-  std::vector<double> EdgeProbabilities(const std::vector<graph::Edge>& pairs);
+  /// reconstruction path (used for NLL evaluation, Table V), read from the
+  /// stored edge-embedding table with double-precision dot products. Both
+  /// ids of every pair must be observed node ids (CHECK-fails otherwise).
+  std::vector<double> EdgeProbabilities(
+      const std::vector<graph::Edge>& pairs) const;
 
   const CpganConfig& config() const { return config_; }
   int64_t ParameterCount() const;
@@ -237,8 +245,9 @@ class Cpgan {
   TrainStats Train(const std::vector<graph::Graph>& graphs);
 
   /// Builds the observed graph's normalized adjacency and runs one encoder
-  /// pass under the current weights, storing the posterior-mean latents and
-  /// the learned community labels. Called after every weight change.
+  /// pass under the current weights, storing the posterior-mean latents,
+  /// the learned community labels and the edge-embedding table the
+  /// decoder makes of those latents. Called after every weight change.
   void EncodeObserved();
 
   /// Every trainable parameter in checkpoint order (modules, then the
@@ -265,9 +274,16 @@ class Cpgan {
       const std::vector<std::vector<int>>& targets,
       const std::vector<float>& node_weights, float level0_inv_norm) const;
 
-  /// Decoder pass over constant latents restricted to `ids`.
-  tensor::Matrix ScoreSubgraph(const std::vector<tensor::Matrix>& latents,
-                               const std::vector<int>& ids) const;
+  /// GenerateFromLatents and GenerateHierarchicalFromLatents over an
+  /// edge-embedding table (GraphDecoder::EmbeddingTable) instead of latents.
+  graph::Graph GenerateFromTable(const tensor::Matrix& table, int num_nodes,
+                                 int64_t num_edges,
+                                 const GenerateControls& controls,
+                                 util::Rng& rng) const;
+  graph::Graph GenerateHierarchicalFromTable(
+      const tensor::Matrix& table, const std::vector<int>& community_labels,
+      int num_nodes, int64_t num_edges, const GenerateControls& controls,
+      util::Rng& rng) const;
 
   /// Fingerprint of the architecture-relevant config fields, stored in
   /// checkpoints so resuming into a mismatched model fails loudly.
@@ -297,9 +313,13 @@ class Cpgan {
   int effective_levels_ = 1;
 
   /// Stored by EncodeObserved (see PosteriorMeanLatents and
-  /// LearnedCommunityLabels).
+  /// LearnedCommunityLabels). `edge_table_` is the decoder's
+  /// edge-embedding table of the posterior latents, n x hidden: every
+  /// posterior and hierarchical generation, and EdgeProbabilities, score
+  /// from it.
   std::vector<tensor::Matrix> posterior_latents_;
   std::vector<int> community_labels_;
+  tensor::Matrix edge_table_;
 
   /// Horvitz-Thompson importance weights of the coreset nodes (aligned with
   /// the relabeled coreset graph's node ids; empty when coreset training is

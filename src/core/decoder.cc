@@ -1,11 +1,22 @@
 #include "core/decoder.h"
 
+#include <cstring>
+
 #include "obs/trace.h"
+#include "tensor/ops.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace cpgan::core {
 
 namespace t = cpgan::tensor;
+
+namespace {
+
+/// Entries per chunk of the bias-and-sigmoid pass (the tensor ops' grain).
+constexpr int64_t kElemGrain = 1 << 15;
+
+}  // namespace
 
 GraphDecoder::GraphDecoder(int latent_dim, int hidden_dim, int num_levels,
                            bool concat_levels, util::Rng& rng)
@@ -53,12 +64,38 @@ t::Tensor GraphDecoder::EdgeEmbeddings(const t::Tensor& h) const {
 t::Tensor GraphDecoder::EdgeLogits(const t::Tensor& h) const {
   CPGAN_TRACE_SPAN("decoder/edge_logits");
   t::Tensor e = EdgeEmbeddings(h);
-  t::Tensor logits = t::Matmul(e, t::Transpose(e));
-  // Broadcast the scalar sparsity bias over all pairs.
-  int n = logits.rows();
-  t::Tensor ones_col = t::Constant(t::Matrix(n, 1, 1.0f));
-  t::Tensor ones_row = t::Constant(t::Matrix(1, n, 1.0f));
-  return t::Add(logits, t::Matmul(t::Matmul(ones_col, bias_), ones_row));
+  return t::AddScalar(t::Matmul(e, t::Transpose(e)), bias_);
+}
+
+t::Matrix GraphDecoder::EmbeddingTable(
+    const std::vector<t::Matrix>& latents) const {
+  std::vector<t::Tensor> z;
+  z.reserve(latents.size());
+  for (const t::Matrix& level : latents) z.push_back(t::Constant(level));
+  return EdgeEmbeddings(DecodeNodes(z)).value();
+}
+
+t::Matrix GraphDecoder::ScoreBlock(const t::Matrix& table,
+                                   const std::vector<int>& rows) const {
+  CPGAN_TRACE_SPAN("decoder/score");
+  const int k = static_cast<int>(rows.size());
+  const int d = table.cols();
+  t::Matrix e(k, d);
+  for (int i = 0; i < k; ++i) {
+    CPGAN_CHECK(rows[i] >= 0 && rows[i] < table.rows());
+    std::memcpy(e.Row(i), table.Row(rows[i]), sizeof(float) * d);
+  }
+  // The product EdgeLogits takes, so every logit rounds the same way.
+  t::Matrix probs = t::Matmul(e, e.Transposed());
+  const float bias = edge_bias();
+  float* p = probs.data();
+  util::ParallelFor(0, probs.size(), kElemGrain,
+                    [p, bias](int64_t i0, int64_t i1) {
+                      for (int64_t i = i0; i < i1; ++i) {
+                        p[i] = t::StableSigmoid(p[i] + bias);
+                      }
+                    });
+  return probs;
 }
 
 }  // namespace cpgan::core

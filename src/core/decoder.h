@@ -17,6 +17,11 @@ namespace cpgan::core {
 ///
 /// The CPGAN-C ablation replaces the GRU with a concatenation of all levels
 /// followed by a linear projection.
+///
+/// Everything before the inner product acts on one node at a time, so
+/// generation embeds every node once (EmbeddingTable) and scores any node
+/// subset from that table by dot products (ScoreBlock). Training keeps the
+/// differentiable path, DecodeNodes then EdgeLogits.
 class GraphDecoder : public nn::Module {
  public:
   GraphDecoder(int latent_dim, int hidden_dim, int num_levels,
@@ -27,11 +32,27 @@ class GraphDecoder : public nn::Module {
   tensor::Tensor DecodeNodes(const std::vector<tensor::Tensor>& z_vae) const;
 
   /// Edge-probability logits for all pairs of the given nodes:
-  /// logits = g(h) g(h)^T, shape n x n (pre-sigmoid).
+  /// logits = g(h) g(h)^T + b, shape n x n (pre-sigmoid). Training only:
+  /// generation scores through ScoreBlock.
   tensor::Tensor EdgeLogits(const tensor::Tensor& h) const;
 
   /// Node embeddings g_theta(h): n x hidden.
   tensor::Tensor EdgeEmbeddings(const tensor::Tensor& h) const;
+
+  /// Edge-embedding table E = g_theta(DecodeNodes(latents)) over constant
+  /// per-level latents (each n x latent): n x hidden, one decoder pass.
+  tensor::Matrix EmbeddingTable(
+      const std::vector<tensor::Matrix>& latents) const;
+
+  /// Edge probabilities sigmoid(e e^T + b) among the table rows `rows`
+  /// (duplicates allowed), |rows| x |rows|, computed on plain matrices
+  /// with no autograd tape. Equal bit for bit to
+  /// Sigmoid(EdgeLogits(DecodeNodes(gathered latent rows))) whenever the
+  /// decoder's products take the same kernel path for |rows| rows as for
+  /// the table's rows (always on the scalar backend; see docs/INTERNALS.md,
+  /// "Determinism").
+  tensor::Matrix ScoreBlock(const tensor::Matrix& table,
+                            const std::vector<int>& rows) const;
 
   int hidden_dim() const { return hidden_dim_; }
 

@@ -110,7 +110,7 @@ CommunitySkeleton BuildSkeleton(
   std::vector<double> size_mass(observed_sizes.begin(), observed_sizes.end());
   if (observed_labels.empty()) size_mass[0] = 1.0;  // one flat community
   // Communities with no observed members stay empty (capacity 0), so every
-  // output node can borrow an observed latent row from its community.
+  // output node can borrow an observed node's row from its community.
   std::vector<int64_t> size_cap(num_communities, 0);
   for (int c = 0; c < num_communities; ++c) {
     if (size_mass[c] > 0.0) size_cap[c] = num_nodes;

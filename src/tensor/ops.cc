@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "tensor/kernels.h"
 #include "util/thread_pool.h"
 
 namespace cpgan::tensor {
@@ -54,15 +55,6 @@ float StableSoftplus(float x) {
   return m + std::log1p(std::exp(-std::fabs(x)));
 }
 
-float StableSigmoid(float x) {
-  if (x >= 0.0f) {
-    float e = std::exp(-x);
-    return 1.0f / (1.0f + e);
-  }
-  float e = std::exp(x);
-  return e / (1.0f + e);
-}
-
 /// Applies fn(value) elementwise and wires a backward of the form
 /// dx = g * dfn(x, y).
 template <typename Fwd, typename Bwd>
@@ -91,6 +83,15 @@ Tensor ElementwiseUnary(const Tensor& x, Fwd fwd, Bwd bwd) {
 }
 
 }  // namespace
+
+float StableSigmoid(float x) {
+  if (x >= 0.0f) {
+    float e = std::exp(-x);
+    return 1.0f / (1.0f + e);
+  }
+  float e = std::exp(x);
+  return e / (1.0f + e);
+}
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   CPGAN_CHECK(a.value().SameShape(b.value()));
@@ -357,6 +358,30 @@ Tensor AddConst(const Tensor& x, float c) {
                             Node* input = self.inputs[0].get();
                             if (input->requires_grad) input->AccumulateGrad(g);
                           });
+}
+
+Tensor AddScalar(const Tensor& x, const Tensor& s) {
+  CPGAN_CHECK(s.rows() == 1 && s.cols() == 1);
+  const float c = s.value().At(0, 0);
+  Matrix out = x.value();
+  float* p = out.data();
+  util::ParallelFor(0, out.size(), kElemGrain, [p, c](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) p[i] += c;
+  });
+  return Tensor::MakeNode(
+      std::move(out), {x, s}, [](const Matrix& g, Node& self) {
+        Node* x_in = self.inputs[0].get();
+        Node* s_in = self.inputs[1].get();
+        if (x_in->requires_grad) x_in->AccumulateGrad(g);
+        if (!s_in->requires_grad) return;
+        // Row sums (double-accumulated), then their float sum in row order.
+        const kernels::KernelOps& ops = kernels::Active();
+        float total = 0.0f;
+        for (int r = 0; r < g.rows(); ++r) {
+          total += static_cast<float>(ops.sum(g.Row(r), g.cols()));
+        }
+        s_in->AccumulateGrad(Matrix(1, 1, total));
+      });
 }
 
 Tensor Neg(const Tensor& x) { return Scale(x, -1.0f); }

@@ -44,6 +44,10 @@ Tensor MulColVec(const Tensor& x, const Tensor& v);
 Tensor Scale(const Tensor& x, float alpha);
 /// x + c (every entry).
 Tensor AddConst(const Tensor& x, float c);
+/// x + s where s is a 1x1 tensor, broadcast to every entry (the decoder's
+/// edge bias). The gradient of s sums each row of the upstream gradient in
+/// double, then adds those row sums as floats in row order.
+Tensor AddScalar(const Tensor& x, const Tensor& s);
 /// -x.
 Tensor Neg(const Tensor& x);
 
@@ -66,6 +70,11 @@ Tensor Softplus(const Tensor& x);
 Tensor LogSigmoid(const Tensor& x);
 /// 1 / x.
 Tensor Reciprocal(const Tensor& x);
+
+/// The forward map of Sigmoid on one value, 1 / (1 + e^-x), evaluated
+/// without overflow for either sign. For tape-free scorers that must round
+/// exactly like the op.
+float StableSigmoid(float x);
 
 /// Row-wise softmax.
 Tensor SoftmaxRows(const Tensor& x);

@@ -90,8 +90,8 @@ const std::vector<std::string>& GradCheckRegistry::RequiredOps() {
   static const std::vector<std::string>* ops = new std::vector<std::string>{
       // Elementwise binary + broadcasts.
       "Add", "AddRowVec", "Div", "Mul", "MulColVec", "MulRowVec", "Sub",
-      // Scalar-constant ops.
-      "AddConst", "Neg", "Scale",
+      // Scalar-constant and scalar-broadcast ops.
+      "AddConst", "AddScalar", "Neg", "Scale",
       // Elementwise unary.
       "Exp", "Log", "LogSigmoid", "Reciprocal", "Relu", "Sigmoid",
       "Softplus", "Sqrt", "Square", "Tanh",

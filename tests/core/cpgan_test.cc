@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
+
 #include "core/cpgan.h"
 #include "data/synthetic.h"
 #include "eval/community_eval.h"
 #include "graph/graph.h"
+#include "obs/trace.h"
+#include "tensor/kernels.h"
 #include "util/rng.h"
 
 namespace cpgan::core {
@@ -190,6 +195,122 @@ TEST(CpganTest, HierarchicalSizedGenerationKeepsObservedDensity) {
   graph::Graph out = model.GenerateWith(controls, rng);
   EXPECT_EQ(out.num_nodes(), 2 * observed.num_nodes());
   EXPECT_GT(out.num_edges(), observed.num_edges());
+}
+
+/// Forces the scalar kernel backend for one test body and restores the
+/// previous backend afterwards (tests share one process).
+class ScalarBackend {
+ public:
+  ScalarBackend() : previous_(tensor::kernels::Active().name) {
+    EXPECT_TRUE(tensor::kernels::SetBackend("scalar"));
+  }
+  ~ScalarBackend() { EXPECT_TRUE(tensor::kernels::SetBackend(previous_)); }
+
+ private:
+  std::string previous_;
+};
+
+/// FNV-1a over the node count and the sorted edge list.
+uint64_t EdgeListHash(const graph::Graph& g) {
+  uint64_t hash = 1469598103934665603ULL;
+  auto mix = [&hash](int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= static_cast<uint64_t>(value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ULL;
+    }
+  };
+  mix(g.num_nodes());
+  for (const auto& [u, v] : g.Edges()) {
+    mix(u);
+    mix(v);
+  }
+  return hash;
+}
+
+TEST(CpganTest, GenerateWithMatchesPinnedHashes) {
+  // Pins training and every GenerateWith mode bit for bit. The scalar
+  // backend rounds a product the same way at every call size, so these
+  // hashes hold however generation splits its scoring into blocks.
+  ScalarBackend scalar;
+  graph::Graph observed = SmallCommunityGraph();
+  Cpgan model(FastConfig());
+  model.Fit(observed);
+  const int n = observed.num_nodes();
+  struct Case {
+    const char* name;
+    bool hierarchical;
+    bool from_prior;
+    int num_nodes;
+    int subgraph_size;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {"flat posterior", false, false, 0, 0, 0xe87cbed12cb85215ULL},
+      {"flat posterior, 25-node chunks", false, false, 0, 25,
+       0x2823183696fe837aULL},
+      {"flat prior", false, true, 0, 0, 0x6e51ef58947a984eULL},
+      {"hierarchical", true, false, 0, 0, 0x02f6477ee02416afULL},
+      {"hierarchical at 2n", true, false, 2 * n, 0, 0xa95ac1fa76935524ULL},
+      {"prior at n/3+5", false, true, n / 3 + 5, 0, 0x77f1618cd3c6289bULL},
+  };
+  for (const Case& c : cases) {
+    GenerateControls controls;
+    controls.hierarchical = c.hierarchical;
+    controls.from_prior = c.from_prior;
+    controls.num_nodes = c.num_nodes;
+    controls.subgraph_size = c.subgraph_size;
+    util::Rng rng(31);
+    const uint64_t hash = EdgeListHash(model.GenerateWith(controls, rng));
+    EXPECT_EQ(hash, c.hash) << c.name << ": got 0x" << std::hex << hash;
+  }
+}
+
+/// Calls of the span `name` recorded since the last ResetTraces.
+uint64_t SpanCalls(const std::string& name) {
+  uint64_t calls = 0;
+  for (const obs::SpanStats& span : obs::CollectSpanStats()) {
+    if (span.name == name) calls += span.calls;
+  }
+  return calls;
+}
+
+TEST(CpganTest, PosteriorGenerationRunsNoDecoderPass) {
+  // Observed-size flat and hierarchical outputs score from the table the
+  // model stored with its posterior latents; only prior latents need a
+  // decoder pass, one per request.
+  graph::Graph observed = SmallCommunityGraph();
+  Cpgan model(FastConfig());
+  model.Fit(observed);
+  const bool was_tracing = obs::TracingEnabled();
+  obs::SetTracingEnabled(true);
+  obs::ResetTraces();
+  for (bool hierarchical : {false, true}) {
+    GenerateControls controls;
+    controls.hierarchical = hierarchical;
+    util::Rng rng(12);
+    model.GenerateWith(controls, rng);
+  }
+  EXPECT_EQ(SpanCalls("decoder/decode"), 0u);
+  EXPECT_GT(SpanCalls("decoder/score"), 0u);
+  GenerateControls prior;
+  prior.from_prior = true;
+  util::Rng rng(13);
+  model.GenerateWith(prior, rng);
+  EXPECT_EQ(SpanCalls("decoder/decode"), 1u);
+  obs::SetTracingEnabled(was_tracing);
+  obs::ResetTraces();
+}
+
+TEST(CpganDeathTest, EdgeProbabilitiesRejectsOutOfRangeIds) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  graph::Graph observed = SmallCommunityGraph();
+  CpganConfig config = FastConfig();
+  config.epochs = 2;
+  Cpgan model(config);
+  model.Fit(observed);
+  const int n = observed.num_nodes();
+  EXPECT_DEATH(model.EdgeProbabilities({{0, n}}), "CHECK");
+  EXPECT_DEATH(model.EdgeProbabilities({{-1, 0}}), "CHECK");
 }
 
 TEST(CpganTest, LoadRejectsMismatchedArchitecture) {

@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -6,6 +9,8 @@
 #include "core/decoder.h"
 #include "core/sampler.h"
 #include "core/variational.h"
+#include "tensor/kernels.h"
+#include "tensor/ops.h"
 #include "tests/test_util.h"
 
 namespace cpgan::core {
@@ -83,6 +88,66 @@ TEST(GraphDecoderTest, EdgeBiasShiftsLogits) {
   util::Rng rng(6);
   GraphDecoder decoder(4, 8, 1, false, rng);
   EXPECT_NEAR(decoder.edge_bias(), -3.0f, 1e-6f);
+}
+
+TEST(GraphDecoderTest, TableScoresMatchTapedDecoder) {
+  // ScoreBlock over a table of all rows against the taped decoder run on
+  // the gathered latent rows alone. At hidden 32 (latent 16, two levels)
+  // every decoder product over >= 32 rows takes the blocked kernel, as the
+  // table's pass does, so those blocks agree bit for bit. Smaller blocks
+  // take the serial loop, which rounds like the blocked kernel only on the
+  // scalar backend (the others fuse multiply-adds).
+  namespace k = cpgan::tensor::kernels;
+  constexpr int kLatent = 16;
+  constexpr int kHidden = 32;
+  constexpr int kTableRows = 150;
+  const std::string previous = k::Active().name;
+  for (const k::KernelOps* backend : k::AvailableBackends()) {
+    ASSERT_TRUE(k::SetBackend(backend->name));
+    const bool scalar = std::string(backend->name) == "scalar";
+    for (bool concat : {false, true}) {
+      util::Rng rng(8);
+      GraphDecoder decoder(kLatent, kHidden, 2, concat, rng);
+      std::vector<t::Matrix> latents = {
+          TestMatrix(kTableRows, kLatent, 1.0f, 9),
+          TestMatrix(kTableRows, kLatent, 1.0f, 10)};
+      t::Matrix table = decoder.EmbeddingTable(latents);
+      ASSERT_EQ(table.rows(), kTableRows);
+      ASSERT_EQ(table.cols(), kHidden);
+      util::Rng pick(11);
+      for (int size : {2, 7, 31, 32, 33, 64, 100}) {
+        // Random rows, duplicates included (hierarchical outputs larger
+        // than the observed graph repeat rows).
+        std::vector<int> rows(size);
+        for (int& r : rows) r = static_cast<int>(pick.UniformInt(kTableRows));
+        std::vector<t::Tensor> z;
+        for (const t::Matrix& level : latents) {
+          z.push_back(t::GatherRows(t::Constant(level), rows));
+        }
+        t::Matrix taped =
+            t::Sigmoid(decoder.EdgeLogits(decoder.DecodeNodes(z))).value();
+        t::Matrix scored = decoder.ScoreBlock(table, rows);
+        ASSERT_TRUE(scored.SameShape(taped));
+        float max_diff = 0.0f;
+        for (int64_t i = 0; i < scored.size(); ++i) {
+          max_diff = std::max(max_diff,
+                              std::fabs(scored.data()[i] - taped.data()[i]));
+        }
+        const std::string where = std::string(backend->name) +
+                                  (concat ? " concat" : " gru") +
+                                  " rows=" + std::to_string(size);
+        if (scalar || size >= 32) {
+          EXPECT_EQ(std::memcmp(scored.data(), taped.data(),
+                                sizeof(float) * scored.size()),
+                    0)
+              << where << " max diff " << max_diff;
+        } else {
+          EXPECT_LE(max_diff, 1e-6f) << where;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(k::SetBackend(previous));
 }
 
 TEST(AssemblyTest, OracleScorerRecoversGraph) {

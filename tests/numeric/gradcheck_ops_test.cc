@@ -112,6 +112,16 @@ TEST(GradCheckOps, MulColVec) {
   }
 }
 
+TEST(GradCheckOps, AddScalar) {
+  for (auto [r, c] : kShapes) {
+    Tensor x = Param(r, c, 1.0f, 43);
+    Tensor s = Param(1, 1, 1.0f, 44);
+    ExpectOk(CheckOpGradient(
+        "AddScalar", [&] { return SumAll(Square(AddScalar(x, s))); },
+        {x, s}));
+  }
+}
+
 TEST(GradCheckOps, ScaleAndAddConstAndNeg) {
   Tensor x = Param(3, 5, 1.0f, 15);
   ExpectOk(CheckOpGradient(

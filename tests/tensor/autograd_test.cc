@@ -1,8 +1,11 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tests/test_util.h"
 
@@ -46,6 +49,44 @@ TEST(AutogradTest, ZeroGradResets) {
   EXPECT_GT(x.grad().Norm(), 0.0f);
   x.ZeroGrad();
   EXPECT_FLOAT_EQ(x.grad().Norm(), 0.0f);
+}
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+TEST(AutogradTest, AddScalarMatchesOnesVectorBroadcast) {
+  // AddScalar replaced the decoder's ones_col * s * ones_row broadcast; its
+  // value and both gradients must keep that path's bits on every backend
+  // (200 rows take the blocked matmul path, 3 and 40 the serial one).
+  const std::string previous = kernels::Active().name;
+  for (const kernels::KernelOps* backend : kernels::AvailableBackends()) {
+    ASSERT_TRUE(kernels::SetBackend(backend->name));
+    for (int n : {3, 40, 200}) {
+      Tensor weights = Constant(TestMatrix(n, n, 1.0f, 31));
+      Tensor x_new = Param(n, n, 2.0f, 32);
+      Tensor s_new = Param(1, 1, 1.0f, 33);
+      Tensor y_new = AddScalar(x_new, s_new);
+      Backward(SumAll(Square(Mul(y_new, weights))));
+
+      Tensor x_old = Param(n, n, 2.0f, 32);
+      Tensor s_old = Param(1, 1, 1.0f, 33);
+      Tensor ones_col = Constant(Matrix(n, 1, 1.0f));
+      Tensor ones_row = Constant(Matrix(1, n, 1.0f));
+      Tensor y_old =
+          Add(x_old, Matmul(Matmul(ones_col, s_old), ones_row));
+      Backward(SumAll(Square(Mul(y_old, weights))));
+
+      EXPECT_TRUE(BitwiseEqual(y_new.value(), y_old.value()))
+          << backend->name << " n=" << n;
+      EXPECT_TRUE(BitwiseEqual(x_new.grad(), x_old.grad()))
+          << backend->name << " n=" << n;
+      EXPECT_TRUE(BitwiseEqual(s_new.grad(), s_old.grad()))
+          << backend->name << " n=" << n;
+    }
+  }
+  EXPECT_TRUE(kernels::SetBackend(previous));
 }
 
 // ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ TEST(CpganTest, GenerateWithMatchesPinnedHashes) {
        0x2823183696fe837aULL},
       {"flat prior", false, true, 0, 0, 0x6e51ef58947a984eULL},
       {"hierarchical", true, false, 0, 0, 0x02f6477ee02416afULL},
-      {"hierarchical at 2n", true, false, 2 * n, 0, 0xa95ac1fa76935524ULL},
+      {"hierarchical at 2n", true, false, 2 * n, 0, 0x41d0cacfae1477e4ULL},
       {"prior at n/3+5", false, true, n / 3 + 5, 0, 0x77f1618cd3c6289bULL},
   };
   for (const Case& c : cases) {

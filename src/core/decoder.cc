@@ -1,5 +1,6 @@
 #include "core/decoder.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/trace.h"
@@ -15,6 +16,12 @@ namespace {
 
 /// Entries per chunk of the bias-and-sigmoid pass (the tensor ops' grain).
 constexpr int64_t kElemGrain = 1 << 15;
+
+/// Side of the square tiles in which ScoreBlock mirrors its upper triangle.
+/// Mirroring reads one side with a stride of a whole row; a 32 x 32 tile
+/// keeps those 32 lines in L1 and their pages in the TLB even when a row is
+/// 4 KiB (k = 1024), where copying a whole column at once thrashes both.
+constexpr int kMirrorTile = 32;
 
 }  // namespace
 
@@ -87,14 +94,35 @@ t::Matrix GraphDecoder::ScoreBlock(const t::Matrix& table,
   }
   // The product EdgeLogits takes, so every logit rounds the same way.
   t::Matrix probs = t::Matmul(e, e.Transposed());
+  // Every Matmul path sums entry (i, j) over the same products
+  // e[i][c]·e[j][c] in the same order as entry (j, i), so the logits are
+  // exactly symmetric: the sigmoid runs on the upper triangle and each
+  // value is copied to its mirror (docs/INTERNALS.md, "Determinism"). Tile
+  // row t computes rows [i0, i1) from the diagonal on, then fills columns
+  // [i0, i1) of the rows below; tiles write disjoint entries.
   const float bias = edge_bias();
-  float* p = probs.data();
-  util::ParallelFor(0, probs.size(), kElemGrain,
-                    [p, bias](int64_t i0, int64_t i1) {
-                      for (int64_t i = i0; i < i1; ++i) {
-                        p[i] = t::StableSigmoid(p[i] + bias);
-                      }
-                    });
+  const int64_t tiles = (k + kMirrorTile - 1) / kMirrorTile;
+  const int64_t grain = std::max<int64_t>(
+      1, kElemGrain / (static_cast<int64_t>(kMirrorTile) * std::max(k, 1)));
+  util::ParallelFor(0, tiles, grain, [&probs, bias, k](int64_t t0,
+                                                       int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      const int i0 = static_cast<int>(t) * kMirrorTile;
+      const int i1 = std::min(k, i0 + kMirrorTile);
+      for (int i = i0; i < i1; ++i) {
+        float* row = probs.Row(i);
+        for (int j = i; j < k; ++j) row[j] = t::StableSigmoid(row[j] + bias);
+      }
+      for (int j0 = i0; j0 < k; j0 += kMirrorTile) {
+        const int j1 = std::min(k, j0 + kMirrorTile);
+        for (int j = std::max(j0, i0 + 1); j < j1; ++j) {
+          float* dst = probs.Row(j);
+          const int i_end = std::min(i1, j);
+          for (int i = i0; i < i_end; ++i) dst[i] = probs.Row(i)[j];
+        }
+      }
+    }
+  });
   return probs;
 }
 

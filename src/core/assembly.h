@@ -49,6 +49,14 @@ struct AssemblyOptions {
 /// categorical distribution of its row (so low-degree nodes are not left
 /// out) and (2) fills the remaining per-round quota with the top-scoring
 /// entries, until `target_edges` edges exist (eq. in Section III-G).
+///
+/// The fill ranks a subset's pairs by key descending, then (u, v)
+/// ascending, a total order, so tied keys (saturated probabilities, the
+/// 1e-9 floor, repeated rows) always fill in node-pair order. It is a
+/// top-k, so it selects rather than sorts: std::nth_element picks the best
+/// quota + |subset| entries, only those are sorted, and the next block is
+/// selected if pairs already taken use the block up. The result is equal,
+/// edge for edge, to sorting every pair.
 graph::Graph AssembleGraph(int num_nodes, int64_t target_edges,
                            const SubgraphScorer& scorer,
                            const AssemblyOptions& options, util::Rng& rng);

@@ -44,7 +44,9 @@ int main() {
       "grid on ppi_like (lower mean and spread are better)\n\n");
 
   util::Table left({"Model", "mean Deg.", "std Deg.", "max Deg."});
-  for (const std::string& model : {"VGAE", "Graphite", "CondGen-R", "CPGAN"}) {
+  const std::vector<std::string> models = {"VGAE", "Graphite", "CondGen-R",
+                                           "CPGAN"};
+  for (const std::string& model : models) {
     std::vector<double> metrics;
     for (const auto& [hidden, latent] : grid) {
       double value = 0.0;

@@ -48,7 +48,7 @@ const SpanStats* FindPath(const std::vector<SpanStats>& stats,
 
 void Workload() {
   volatile double sink = 0.0;
-  for (int i = 0; i < 1000; ++i) sink += static_cast<double>(i) * 0.5;
+  for (int i = 0; i < 1000; ++i) sink = sink + static_cast<double>(i) * 0.5;
 }
 
 TEST(TraceTest, NestedSpansBuildCallTree) {

@@ -170,7 +170,6 @@ int main(int argc, char** argv) {
   chaos_options.num_workers = 2;
   chaos_options.queue_capacity = 3;
   chaos_options.default_deadline_ms = 40.0;
-  chaos_options.watchdog_period_ms = 1.0;
   chaos_options.io_backoff.initial_delay_ms = 0.1;
   chaos_options.io_backoff.max_delay_ms = 1.0;
   chaos_options.request_log = scratch + "/requests.jsonl";

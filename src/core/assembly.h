@@ -32,9 +32,9 @@ struct AssemblyOptions {
 
   /// Cooperative cancellation, polled at every phase boundary (before each
   /// decode chunk and between passes). When it returns true, assembly stops
-  /// and returns the edges built so far; the serving watchdog uses this to
-  /// cancel decodes whose deadline expired without tearing down the worker
-  /// (docs/SERVING.md). Unset = never abort.
+  /// and returns the edges built so far; the server polls its request
+  /// deadline here, so an expired decode stops without tearing down the
+  /// worker (docs/SERVING.md). Unset = never abort.
   std::function<bool()> should_abort;
 
   /// Out-param: reset to false on entry to AssembleGraph and set to true

@@ -887,7 +887,6 @@ graph::Graph Cpgan::GenerateFromTable(const t::Matrix& table, int num_nodes,
   }
   options.max_passes = controls.max_passes;
   options.should_abort = controls.should_abort;
-  options.aborted = controls.aborted;
   return AssembleGraph(
       num_nodes, num_edges,
       [this, &table](const std::vector<int>& ids) {
@@ -915,17 +914,9 @@ graph::Graph Cpgan::GenerateHierarchicalFromTable(
   CPGAN_CHECK_EQ(static_cast<int>(community_labels.size()), table.rows());
   CPGAN_TRACE_SPAN("hier/generate");
 
-  // Per-request stream base, drawn before any early exit so the RNG
-  // position stays deterministic.
+  // Per-request stream base: the only draw from `rng`, so the caller's RNG
+  // position is the same whether or not the assembly is cancelled.
   const uint64_t stream_seed = rng.engine()();
-
-  bool local_aborted = false;
-  bool* aborted = controls.aborted != nullptr ? controls.aborted
-                                              : &local_aborted;
-  *aborted = false;
-  auto abort_now = [&controls]() {
-    return controls.should_abort && controls.should_abort();
-  };
 
   // Observed members per learned community.
   int num_communities = 0;
@@ -973,10 +964,6 @@ graph::Graph Cpgan::GenerateHierarchicalFromTable(
   }
   std::vector<std::vector<double>> density(
       num_communities, std::vector<double>(num_communities, 0.0));
-  if (abort_now()) {
-    *aborted = true;
-    return graph::Graph(num_nodes, {});
-  }
   if (probe_ids.size() >= 2) {
     CPGAN_TRACE_SPAN("hier/probe");
     t::Matrix probs = decoder_->ScoreBlock(table, probe_ids);
@@ -1022,9 +1009,8 @@ graph::Graph Cpgan::GenerateHierarchicalFromTable(
     options.assembly.subgraph_size = std::max(config_.subgraph_size, 256);
   }
   options.assembly.max_passes = controls.max_passes;
+  options.assembly.should_abort = controls.should_abort;
   options.seed = stream_seed;
-  options.should_abort = controls.should_abort;
-  options.aborted = aborted;
   return HierAssembleGraph(
       skeleton,
       [this, &table, &row_of](const std::vector<int>& ids) {

@@ -92,12 +92,10 @@ struct GenerateControls {
   /// see AssemblyOptions::max_passes).
   int max_passes = 8;
 
-  /// Cooperative cancellation, polled at phase boundaries (the serving
-  /// watchdog's deadline enforcement). Unset = never abort.
+  /// Cooperative cancellation, polled at assembly's phase boundaries (the
+  /// server passes its request deadline). When it fires, generation returns
+  /// the partial graph built so far. Unset = never abort.
   std::function<bool()> should_abort;
-
-  /// Set to true when should_abort stopped assembly early.
-  bool* aborted = nullptr;
 
   /// Hierarchical community-wise generation (docs/INTERNALS.md,
   /// "Hierarchical assembly"): derive the community skeleton from the

@@ -170,7 +170,8 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
                                const SubgraphScorer& scorer,
                                const HierAssemblyOptions& options) {
   CPGAN_TRACE_SPAN("hier/assemble");
-  if (options.aborted != nullptr) *options.aborted = false;
+  const AssemblyOptions& assembly = options.assembly;
+  if (assembly.aborted != nullptr) *assembly.aborted = false;
   const int num_communities = skeleton.num_communities();
   const int num_nodes = skeleton.num_nodes;
   CPGAN_GAUGE_SET("hier.communities",
@@ -179,14 +180,11 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
     return graph::Graph(num_nodes, {});
   }
 
+  // Set when any phase stops early: a between-wave poll here, or one
+  // community's own AssembleGraph.
   bool stopped = false;
-  auto poll_abort = [&options, &stopped]() {
-    if (stopped) return true;
-    if (options.should_abort && options.should_abort()) {
-      stopped = true;
-      if (options.aborted != nullptr) *options.aborted = true;
-      CPGAN_COUNTER_ADD("hier.aborts", 1);
-    }
+  auto poll_abort = [&assembly, &stopped]() {
+    if (!stopped && assembly.should_abort) stopped = assembly.should_abort();
     return stopped;
   };
   util::ThreadPool& pool = util::ThreadPool::Global();
@@ -210,9 +208,8 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
         const int size = static_cast<int>(members.size());
         const int64_t target = skeleton.budget[c][c];
         if (size < 2 || target <= 0) continue;
-        AssemblyOptions local = options.assembly;
+        AssemblyOptions local = assembly;
         bool local_aborted = false;
-        local.should_abort = options.should_abort;
         local.aborted = &local_aborted;
         util::Rng rng(HierStreamSeed(options.seed, static_cast<uint64_t>(c)));
         graph::Graph block = AssembleGraph(
@@ -235,10 +232,7 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
       }
     });
   }
-  for (uint8_t flag : community_aborted) {
-    if (flag && options.aborted != nullptr) *options.aborted = true;
-    if (flag) stopped = true;
-  }
+  for (uint8_t flag : community_aborted) stopped = stopped || flag != 0;
 
   // ----- Cross-community stitching: per block pair, decode a boundary
   // union and draw the budget without replacement, proportional to the
@@ -334,6 +328,10 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
   }
   for (const auto& block : inter) {
     edges.insert(edges.end(), block.begin(), block.end());
+  }
+  if (stopped) {
+    if (assembly.aborted != nullptr) *assembly.aborted = true;
+    CPGAN_COUNTER_ADD("hier.aborts", 1);
   }
   CPGAN_COUNTER_ADD("hier.waves", static_cast<uint64_t>(waves));
   CPGAN_COUNTER_ADD("hier.intra_edges", static_cast<uint64_t>(intra_total));

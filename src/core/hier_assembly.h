@@ -2,7 +2,6 @@
 #define CPGAN_CORE_HIER_ASSEMBLY_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/assembly.h"
@@ -56,14 +55,16 @@ CommunitySkeleton BuildSkeleton(
     const std::vector<std::vector<double>>& block_density);
 
 struct HierAssemblyOptions {
-  /// Per-community assembly knobs. `assembly.should_abort` and
-  /// `assembly.aborted` are ignored — cancellation is wired through the
-  /// fields below so each community tracks its own abort state.
+  /// Per-community assembly knobs. `assembly.should_abort` is polled
+  /// between waves and, inside each community's AssembleGraph, at every
+  /// phase boundary; a cancelled run returns the valid partial graph built
+  /// so far. `assembly.aborted` is reset to false on entry and set to true
+  /// when any phase stopped early (each community reports into its own
+  /// local flag, so no two threads write it).
   AssemblyOptions assembly;
 
   /// Communities (and stitch block pairs) processed per wave; each wave is
-  /// one ThreadPool fan-out, and `should_abort` is polled between waves.
-  /// 0 = the global pool's thread count.
+  /// one ThreadPool fan-out. 0 = the global pool's thread count.
   int wave_size = 0;
 
   /// Base of the per-community (and per-block-pair) RNG streams: community
@@ -71,15 +72,6 @@ struct HierAssemblyOptions {
   /// Rng(mix(seed, C + pair_index)). Streams never interact, which is what
   /// makes the fan-out order irrelevant to the output.
   uint64_t seed = 0;
-
-  /// Cooperative cancellation, polled between waves and (via the inner
-  /// AssemblyOptions) at every per-community phase boundary. A cancelled
-  /// run returns the valid partial graph built so far.
-  std::function<bool()> should_abort;
-
-  /// Out-param: reset to false on entry, true when should_abort stopped any
-  /// phase early.
-  bool* aborted = nullptr;
 };
 
 /// Assembles the skeleton into a full graph. `scorer` receives sorted

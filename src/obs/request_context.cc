@@ -1,30 +1,16 @@
 #include "obs/request_context.h"
 
-#include <chrono>
-
 namespace cpgan::obs {
 
 namespace {
 
 thread_local RequestContext t_request_context;
 
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 RequestContext CurrentRequestContext() { return t_request_context; }
 
 uint64_t CurrentRequestId() { return t_request_context.id; }
-
-bool CurrentRequestDeadlineExpired() {
-  return t_request_context.deadline_ns != 0 &&
-         NowNanos() >= t_request_context.deadline_ns;
-}
 
 ScopedRequestContext::ScopedRequestContext(const RequestContext& context)
     : previous_(t_request_context) {

@@ -8,25 +8,22 @@ namespace cpgan::obs {
 /// \file
 /// Request-scoped trace context (docs/OBSERVABILITY.md).
 ///
-/// A RequestContext carries a request id and an optional deadline through
-/// everything that runs on behalf of one serving request: the serve worker
-/// installs it with ScopedRequestContext, util::ThreadPool captures it when
-/// a parallel region is posted and re-installs it on every pool thread that
-/// executes chunks of that region, and trace spans stamp the active id on
-/// each completed Chrome trace event. WriteChromeTrace then groups spans by
-/// request instead of only by recording thread.
+/// A RequestContext carries a request id through everything that runs on
+/// behalf of one serving request: the serve worker installs it with
+/// ScopedRequestContext, util::ThreadPool captures it when a parallel region
+/// is posted and re-installs it on every pool thread that executes chunks of
+/// that region, and trace spans stamp the active id on each completed Chrome
+/// trace event. WriteChromeTrace then groups spans by request instead of
+/// only by recording thread.
 ///
 /// Like the rest of the telemetry layer this is observational only: nothing
 /// reads the context to change a numeric result. It lives in cpgan_util
 /// (next to obs/metrics.cc) so the thread pool can propagate it without a
 /// cpgan_util <-> cpgan_obs cycle.
 
-/// The context payload. `id` 0 means "no request" (the idle/default state);
-/// `deadline_ns` is an absolute std::chrono::steady_clock time in
-/// nanoseconds since the clock's epoch, 0 when the request is unbounded.
+/// The context payload. `id` 0 means "no request" (the idle/default state).
 struct RequestContext {
   uint64_t id = 0;
-  uint64_t deadline_ns = 0;
 
   bool active() const { return id != 0; }
 };
@@ -36,10 +33,6 @@ RequestContext CurrentRequestContext();
 
 /// Shorthand for CurrentRequestContext().id.
 uint64_t CurrentRequestId();
-
-/// True when the calling thread's context carries a deadline that has
-/// passed on the steady clock. False when no context or no deadline.
-bool CurrentRequestDeadlineExpired();
 
 /// RAII installer: swaps `context` in for the calling thread and restores
 /// the previous context on destruction, so nesting (a request that fans out

@@ -22,7 +22,7 @@ namespace cpgan::serve {
 /// degraded / deadline_exceeded / error.
 struct ChaosPlan {
   /// Slow request: injected client-side stall (before the decode, polling
-  /// the deadline) on matching requests. Exercises the deadline watchdog.
+  /// the deadline) on matching requests. Exercises deadline enforcement.
   int slow_every = 0;  // 0 disables
   int slow_offset = 0;
   double slow_ms = 50.0;

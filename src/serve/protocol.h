@@ -26,8 +26,8 @@ namespace cpgan::serve {
 ///
 /// `status` is the serving contract: every accepted request terminates in
 /// exactly one of ok / degraded (reduced-fidelity decode under pressure) /
-/// shed (rejected before any work) / deadline_exceeded (cancelled at a
-/// phase boundary by the watchdog) / error.
+/// shed (rejected before any work) / deadline_exceeded (the deadline passed
+/// before the response was ready; checked at phase boundaries) / error.
 
 enum class Verb {
   kGenerate,
@@ -60,9 +60,9 @@ struct Request {
 
   /// `hier=1`: assemble hierarchically (community skeleton, per-community
   /// decodes, stitched cross edges — docs/INTERNALS.md, "Hierarchical
-  /// assembly"). Per-community decode waves become the watchdog's
-  /// cancellation unit, so a long hierarchical decode stops within one wave
-  /// of its deadline.
+  /// assembly"). The deadline is polled between decode waves and at each
+  /// community's chunk boundaries, so a long hierarchical decode stops at
+  /// the next chunk boundary after its deadline.
   bool hierarchical = false;
 
   /// RELOAD only: checkpoint file to hot-swap in.

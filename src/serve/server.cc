@@ -22,23 +22,6 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
-          .count());
-}
-
-/// Absolute steady-clock expiry of `deadline`, in the form RequestContext
-/// carries (0 = unlimited). Deadline only exposes remaining time, so this
-/// re-anchors it against the same clock.
-uint64_t DeadlineNanos(const util::Deadline& deadline) {
-  if (deadline.unlimited()) return 0;
-  const double remaining_ms = deadline.remaining_ms();
-  if (remaining_ms <= 0.0) return 1;  // already expired, but not "unlimited"
-  return NowNanos() + static_cast<uint64_t>(remaining_ms * 1e6);
-}
-
 void SleepMs(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
@@ -60,10 +43,6 @@ struct Server::Job {
   Clock::time_point start{};
   util::Deadline deadline;
 
-  /// Cooperative cancellation, set by the watchdog (or any observer of an
-  /// expired deadline) and polled by the decode at phase boundaries.
-  std::atomic<bool> cancel{false};
-
   std::mutex m;
   std::condition_variable cv;
   bool done = false;
@@ -74,7 +53,6 @@ Server::Server(ModelRegistry* registry, const ServerOptions& options)
     : registry_(registry), options_(options), slo_(options.slo) {
   options_.num_workers = std::max(1, options_.num_workers);
   options_.queue_capacity = std::max(1, options_.queue_capacity);
-  options_.watchdog_period_ms = std::max(0.1, options_.watchdog_period_ms);
 }
 
 Server::~Server() { Stop(); }
@@ -102,7 +80,6 @@ void Server::Start() {
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  watchdog_ = std::thread([this] { WatchdogLoop(); });
 
   // Exporter last, so its first tick already sees the worker pool up. Its
   // on_tick publishes SLO gauges before each snapshot; any caller-supplied
@@ -125,10 +102,8 @@ void Server::Stop() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  watchdog_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
-  if (watchdog_.joinable()) watchdog_.join();
   if (exporter_ != nullptr) {
     // After the workers: the final flush then captures every completed
     // request, including ones finished during the drain.
@@ -206,30 +181,10 @@ void Server::WorkerLoop() {
       if (queue_.empty()) return;  // stopping and fully drained
       job = queue_.front();
       queue_.pop_front();
-      active_.push_back(job);
       CPGAN_GAUGE_SET("serve.queue_depth", static_cast<double>(queue_.size()));
     }
     Response response = Process(*job);
     Finish(job, std::move(response));
-  }
-}
-
-void Server::WatchdogLoop() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  while (!stopping_) {
-    auto scan = [this](const std::shared_ptr<Job>& job) {
-      if (job->deadline.expired() &&
-          !job->cancel.exchange(true, std::memory_order_relaxed)) {
-        watchdog_cancels_.fetch_add(1, std::memory_order_relaxed);
-        CPGAN_COUNTER_ADD("serve.watchdog_cancels", 1);
-      }
-    };
-    for (const auto& job : queue_) scan(job);
-    for (const auto& job : active_) scan(job);
-    watchdog_cv_.wait_for(
-        lock,
-        std::chrono::duration<double, std::milli>(options_.watchdog_period_ms),
-        [this] { return stopping_; });
   }
 }
 
@@ -240,7 +195,6 @@ Response Server::Process(Job& job) {
   // so the Chrome trace groups them into one lane per request.
   obs::RequestContext context;
   context.id = job.id;
-  context.deadline_ns = DeadlineNanos(job.deadline);
   obs::ScopedRequestContext request_scope(context);
   CPGAN_TRACE_SPAN("serve/request");
 
@@ -254,10 +208,7 @@ Response Server::Process(Job& job) {
     response.latency_ms = MsSince(job.start);
     return response;
   };
-  auto cancelled = [&job] {
-    return job.cancel.load(std::memory_order_relaxed) ||
-           job.deadline.expired();
-  };
+  auto cancelled = [&job] { return job.deadline.expired(); };
 
   if (cancelled()) return finish(ResponseStatus::kDeadlineExceeded,
                                  "expired_in_queue");
@@ -303,8 +254,6 @@ Response Server::Process(Job& job) {
     controls.subgraph_size = options_.degraded_subgraph_size;
     controls.max_passes = options_.degraded_max_passes;
   }
-  bool aborted = false;
-  controls.aborted = &aborted;
   controls.should_abort = cancelled;
   controls.hierarchical = request.hierarchical;
 
@@ -319,13 +268,9 @@ Response Server::Process(Job& job) {
     // deadline_exceeded below if it ran over.
     const double stall_ms = chaos_.StallDelayMs(job.id);
     if (stall_ms > 0.0) SleepMs(stall_ms);
-    if (!cancelled()) {
-      generated = model->Generate(controls, rng);
-    } else {
-      aborted = true;
-    }
+    if (!cancelled()) generated = model->Generate(controls, rng);
   }
-  if (aborted || cancelled()) {
+  if (cancelled()) {
     return finish(ResponseStatus::kDeadlineExceeded, "cancelled_mid_decode");
   }
 
@@ -358,11 +303,6 @@ void Server::Finish(const std::shared_ptr<Job>& job, Response response) {
   }
   response.retries += log_retries;
   Record(response);
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    active_.erase(std::remove(active_.begin(), active_.end(), job),
-                  active_.end());
-  }
   {
     std::lock_guard<std::mutex> job_lock(job->m);
     job->response = std::move(response);
@@ -449,8 +389,7 @@ std::string Server::StatsLine(uint64_t id) {
       " status=ok stats={\"received\":%" PRIu64 ",\"completed\":%" PRIu64
       ",\"ok\":%" PRIu64 ",\"degraded\":%" PRIu64 ",\"shed\":%" PRIu64
       ",\"deadline_exceeded\":%" PRIu64 ",\"errors\":%" PRIu64
-      ",\"retries\":%" PRIu64 ",\"watchdog_cancels\":%" PRIu64
-      ",\"queue_depth\":%d,"
+      ",\"retries\":%" PRIu64 ",\"queue_depth\":%d,"
       "\"slo\":{\"window_total\":%" PRIu64
       ",\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f"
       ",\"availability\":%.6f,\"latency_compliance\":%.6f"
@@ -459,8 +398,8 @@ std::string Server::StatsLine(uint64_t id) {
       "\"exporter\":{\"running\":%s,\"snapshots\":%d}}",
       id, stats.received, stats.completed, stats.ok, stats.degraded,
       stats.shed, stats.deadline_exceeded, stats.errors, stats.retries,
-      stats.watchdog_cancels, depth, slo.total, slo.p50_ms, slo.p95_ms,
-      slo.p99_ms, slo.availability, slo.latency_compliance,
+      depth, slo.total, slo.p50_ms, slo.p95_ms, slo.p99_ms,
+      slo.availability, slo.latency_compliance,
       slo.availability_burn_rate, slo.latency_burn_rate, slo.window_s,
       exporter_ != nullptr && exporter_->running() ? "true" : "false",
       exporter_ != nullptr ? exporter_->snapshots_written() : 0);
@@ -554,7 +493,6 @@ ServerStats Server::Stats() const {
       deadline_exceeded_.load(std::memory_order_relaxed);
   stats.errors = errors_.load(std::memory_order_relaxed);
   stats.retries = retries_.load(std::memory_order_relaxed);
-  stats.watchdog_cancels = watchdog_cancels_.load(std::memory_order_relaxed);
   return stats;
 }
 

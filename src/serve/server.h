@@ -35,13 +35,8 @@ struct ServerOptions {
   int queue_capacity = 8;
 
   /// Deadline applied to requests that do not carry deadline_ms. 0 =
-  /// unlimited.
+  /// unlimited. Workers poll it at phase boundaries (docs/SERVING.md).
   double default_deadline_ms = 0.0;
-
-  /// Watchdog scan period. The watchdog cancels expired jobs — queued or
-  /// in-flight — via their cooperative abort flag, which the decode polls at
-  /// phase boundaries.
-  double watchdog_period_ms = 2.0;
 
   /// Degradation ladder, driven by max(queue fraction, memory pressure):
   /// at `soft_pressure` the assembly batch shrinks (response still ok); at
@@ -87,18 +82,17 @@ struct ServerStats {
   uint64_t deadline_exceeded = 0;
   uint64_t errors = 0;
   uint64_t retries = 0;            // transient-I/O retries across requests
-  uint64_t watchdog_cancels = 0;   // jobs cancelled by the watchdog
 };
 
 /// Long-lived generation server over a warm ModelRegistry.
 ///
 /// Structure: Submit() enqueues into a bounded queue (shedding when full)
 /// and blocks until the response is published; worker threads drain the
-/// queue and decode concurrently; a watchdog thread cancels expired jobs at
-/// the next phase boundary. The serving contract — every submitted
-/// request terminates with a response, and every non-ok response is
-/// explicitly flagged — holds under every ChaosPlan fault class (enforced
-/// by tests/serve/chaos_test.cc under ASan and TSan).
+/// queue and decode concurrently, each polling its request's deadline at
+/// phase boundaries. The serving contract — every submitted request
+/// terminates with a response, and every non-ok response is explicitly
+/// flagged — holds under every ChaosPlan fault class (enforced by
+/// tests/serve/chaos_test.cc under ASan and TSan).
 class Server {
  public:
   Server(ModelRegistry* registry, const ServerOptions& options);
@@ -110,7 +104,7 @@ class Server {
   /// Installs a fault-injection plan. Call before Start.
   void SetChaos(const ChaosPlan& plan);
 
-  /// Spawns workers and the watchdog. Idempotent until Stop.
+  /// Spawns the workers and the metrics exporter. Idempotent until Stop.
   void Start();
 
   /// Drains the queue (pending jobs still get responses), joins all
@@ -147,7 +141,6 @@ class Server {
   struct Job;
 
   void WorkerLoop();
-  void WatchdogLoop();
 
   /// Executes one job end to end (chaos, pressure, decode, output, log) and
   /// returns its response with latency filled in.
@@ -173,14 +166,11 @@ class Server {
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
-  std::condition_variable watchdog_cv_;
   std::deque<std::shared_ptr<Job>> queue_;
-  std::vector<std::shared_ptr<Job>> active_;
   bool started_ = false;
   bool stopping_ = false;
 
   std::vector<std::thread> workers_;
-  std::thread watchdog_;
 
   std::mutex log_mutex_;
   std::FILE* log_file_ = nullptr;
@@ -193,7 +183,6 @@ class Server {
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> watchdog_cancels_{0};
 };
 
 }  // namespace cpgan::serve

@@ -9,6 +9,7 @@
 #include "core/hier_assembly.h"
 #include "data/synthetic.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -183,8 +184,8 @@ TEST(HierAssemblyTest, AbortMidDecodeReturnsValidPartialGraph) {
   // nodes with a strict subset of the work done, and the flag must be set.
   std::atomic<int> polls{0};
   bool aborted = false;
-  options.aborted = &aborted;
-  options.should_abort = [&polls] { return ++polls > 4; };
+  options.assembly.aborted = &aborted;
+  options.assembly.should_abort = [&polls] { return ++polls > 4; };
   graph::Graph partial =
       HierAssembleGraph(skeleton, PlantedScorer(labels), options);
   EXPECT_TRUE(aborted);
@@ -195,6 +196,19 @@ TEST(HierAssemblyTest, AbortMidDecodeReturnsValidPartialGraph) {
     EXPECT_LT(v, 120);
     EXPECT_NE(u, v);
   }
+
+  // One wave holds every community, poll 1 is the check before it, and only
+  // poll 3 fires: inside one community's AssembleGraph, where no
+  // between-wave check sees it. The run still reports one abort.
+  obs::Counter* aborts =
+      obs::MetricsRegistry::Global().FindCounter("hier.aborts");
+  const uint64_t before = aborts->Value();
+  options.wave_size = 6;
+  polls = 0;
+  options.assembly.should_abort = [&polls] { return ++polls == 3; };
+  HierAssembleGraph(skeleton, PlantedScorer(labels), options);
+  EXPECT_TRUE(aborted);
+  EXPECT_EQ(aborts->Value(), before + 1);
 }
 
 TEST(HierAssemblyTest, AbortedFlagResetsOnReuse) {
@@ -206,12 +220,12 @@ TEST(HierAssemblyTest, AbortedFlagResetsOnReuse) {
   HierAssemblyOptions options;
   options.seed = 3;
   bool aborted = false;
-  options.aborted = &aborted;
-  options.should_abort = [] { return true; };
+  options.assembly.aborted = &aborted;
+  options.assembly.should_abort = [] { return true; };
   HierAssembleGraph(skeleton, PlantedScorer(labels), options);
   EXPECT_TRUE(aborted);
   // Same options struct, no abort this time: the stale flag must clear.
-  options.should_abort = [] { return false; };
+  options.assembly.should_abort = [] { return false; };
   graph::Graph out =
       HierAssembleGraph(skeleton, PlantedScorer(labels), options);
   EXPECT_FALSE(aborted);

@@ -1,14 +1,13 @@
 // Request-scoped trace propagation: ScopedRequestContext install/restore
-// and nesting, deadline queries, capture-at-post propagation through
-// ThreadPool parallel regions, request-id stamping on Chrome trace events,
-// and the per-request pid grouping of WriteChromeTrace.
+// and nesting, capture-at-post propagation through ThreadPool parallel
+// regions, request-id stamping on Chrome trace events, and the per-request
+// pid grouping of WriteChromeTrace.
 
 #include "obs/request_context.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <set>
 #include <string>
 
@@ -19,13 +18,6 @@
 
 namespace cpgan::obs {
 namespace {
-
-uint64_t SteadyNowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 TEST(RequestContextTest, ScopedInstallAndNestedRestore) {
   EXPECT_EQ(CurrentRequestId(), 0u);
@@ -44,30 +36,6 @@ TEST(RequestContextTest, ScopedInstallAndNestedRestore) {
     EXPECT_EQ(CurrentRequestId(), 7u);
   }
   EXPECT_EQ(CurrentRequestId(), 0u);
-}
-
-TEST(RequestContextTest, DeadlineExpiryQueries) {
-  EXPECT_FALSE(CurrentRequestDeadlineExpired());  // no context
-  RequestContext unbounded;
-  unbounded.id = 1;  // deadline_ns stays 0
-  {
-    ScopedRequestContext scope(unbounded);
-    EXPECT_FALSE(CurrentRequestDeadlineExpired());
-  }
-  RequestContext expired;
-  expired.id = 2;
-  expired.deadline_ns = 1;  // far in the steady clock's past
-  {
-    ScopedRequestContext scope(expired);
-    EXPECT_TRUE(CurrentRequestDeadlineExpired());
-  }
-  RequestContext future;
-  future.id = 3;
-  future.deadline_ns = SteadyNowNanos() + 60ull * 1000000000ull;
-  {
-    ScopedRequestContext scope(future);
-    EXPECT_FALSE(CurrentRequestDeadlineExpired());
-  }
 }
 
 TEST(RequestContextTest, PropagatesThroughParallelFor) {

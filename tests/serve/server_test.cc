@@ -1,7 +1,7 @@
 // Server behavior under normal operation: per-seed bitwise determinism,
-// concurrent decodes, deadline flagging, shedding when stopped, protocol
-// dispatch (RELOAD / STATS / parse errors), warm-load equivalence, and the
-// JSONL request log.
+// concurrent decodes, deadline flagging (down into hierarchical assembly),
+// shedding when stopped, protocol dispatch (RELOAD / STATS / parse errors),
+// warm-load equivalence, and the JSONL request log.
 
 #include "serve/server.h"
 
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "tests/serve/serve_test_util.h"
@@ -185,6 +186,28 @@ TEST_F(ServerTest, TinyDeadlineIsFlaggedNotServed) {
   server.Stop();
   EXPECT_EQ(response.status, ResponseStatus::kDeadlineExceeded);
   EXPECT_FALSE(response.detail.empty());
+}
+
+TEST_F(ServerTest, DeadlineStopsHierarchicalAssemblyMidDecode) {
+  // A 50000-node hierarchical decode runs for far longer than 40 ms (about
+  // 250 ms in a Release build on a 4-vCPU x86 host), so the deadline
+  // expires inside assembly. The response status alone cannot show that
+  // the server's should_abort reached assembly (the check after the decode
+  // answers the same after a full decode); hier.aborts does.
+  obs::Counter* aborts =
+      obs::MetricsRegistry::Global().FindCounter("hier.aborts");
+  const uint64_t before = aborts->Value();
+  Server server(&SharedServeRegistry(), QuickOptions());
+  server.Start();
+  Request request;
+  request.hierarchical = true;
+  request.nodes = 50000;
+  request.deadline_ms = 40.0;
+  Response response = server.Submit(request);
+  server.Stop();
+  EXPECT_EQ(response.status, ResponseStatus::kDeadlineExceeded);
+  EXPECT_EQ(response.detail, "cancelled_mid_decode");
+  EXPECT_EQ(aborts->Value(), before + 1);
 }
 
 TEST_F(ServerTest, SubmitWithoutStartIsShed) {

@@ -16,7 +16,7 @@
 //   --threads=N            size of the kernel thread pool (default: the
 //                          CPGAN_NUM_THREADS env var, else all cores);
 //                          results are identical for any N
-//   --kernel-backend=NAME  SIMD kernel backend: scalar, avx2, or neon
+//   --kernel-backend=NAME  SIMD kernel backend: scalar or avx2
 //                          (default: the CPGAN_KERNEL_BACKEND env var,
 //                          else CPUID auto-detection)
 //
@@ -563,7 +563,7 @@ int Usage() {
                "CPGAN_NUM_THREADS env var, else all cores); results are\n"
                "identical for any N\n"
                "--kernel-backend=NAME picks the SIMD kernel backend\n"
-               "(scalar, avx2, neon; default: the CPGAN_KERNEL_BACKEND env\n"
+               "(scalar, avx2; default: the CPGAN_KERNEL_BACKEND env\n"
                "var, else CPUID auto-detection)\n");
   return 2;
 }

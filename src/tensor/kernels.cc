@@ -16,10 +16,6 @@ namespace cpgan::tensor::kernels {
 
 namespace {
 
-/// Known backend names, for distinguishing "unknown" from "unavailable
-/// here" in error messages.
-constexpr const char* kKnownNames[] = {"scalar", "avx2", "neon"};
-
 std::mutex g_select_mutex;
 std::atomic<const KernelOps*> g_active{nullptr};
 
@@ -33,16 +29,8 @@ const KernelOps* FindAvailable(std::string_view name) {
   return nullptr;
 }
 
-bool IsKnownName(std::string_view name) {
-  for (const char* known : kKnownNames) {
-    if (name == known) return true;
-  }
-  return false;
-}
-
 const KernelOps* AutoDetect() {
   if (const KernelOps* avx2 = Avx2()) return avx2;
-  if (const KernelOps* neon = Neon()) return neon;
   return &Scalar();
 }
 
@@ -61,18 +49,16 @@ void PublishSelection(const KernelOps& active) {
       ->Set(util::CpuSupportsAvx2() ? 1.0 : 0.0);
 }
 
-/// Env var > CPUID. An env value naming an unknown or locally unavailable
-/// backend logs a warning and falls back to auto-detection — startup must
-/// not fail because a config was written on different hardware.
+/// Env var > CPUID. An env value naming a backend that is not available on
+/// this machine logs a warning and falls back to auto-detection — startup
+/// must not fail because a config was written on different hardware.
 const KernelOps* SelectFromEnvironment() {
   const char* env = std::getenv("CPGAN_KERNEL_BACKEND");
   if (env != nullptr && *env != '\0') {
     if (const KernelOps* named = FindAvailable(env)) return named;
-    CPGAN_LOG(Warning) << "CPGAN_KERNEL_BACKEND='" << env << "' is "
-                       << (IsKnownName(env) ? "not available on this machine"
-                                            : "not a known backend")
-                       << " (available: " << AvailableBackendNames()
-                       << "); auto-detecting";
+    CPGAN_LOG(Warning) << "CPGAN_KERNEL_BACKEND='" << env
+                       << "' is not available on this machine (available: "
+                       << AvailableBackendNames() << "); auto-detecting";
   }
   return AutoDetect();
 }
@@ -137,16 +123,9 @@ const KernelOps* Avx2() {
   return ops;
 }
 
-const KernelOps* Neon() {
-  const KernelOps* ops = internal::NeonOpsIfBuilt();
-  if (ops == nullptr || !util::CpuSupportsNeon()) return nullptr;
-  return ops;
-}
-
 std::vector<const KernelOps*> AvailableBackends() {
   std::vector<const KernelOps*> backends = {&Scalar()};
   if (const KernelOps* avx2 = Avx2()) backends.push_back(avx2);
-  if (const KernelOps* neon = Neon()) backends.push_back(neon);
   return backends;
 }
 
@@ -187,9 +166,8 @@ bool SetBackend(std::string_view name, std::string* error) {
   if (ops == nullptr) {
     if (error != nullptr) {
       *error = std::string(name) +
-               (IsKnownName(name) ? " is not available on this machine"
-                                  : " is not a known backend") +
-               " (available: " + AvailableBackendNames() + ")";
+               " is not available on this machine (available: " +
+               AvailableBackendNames() + ")";
     }
     return false;
   }

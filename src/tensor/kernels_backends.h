@@ -22,9 +22,6 @@ const KernelOps& ScalarOps();
 /// gating happens in kernels.cc, not here.
 const KernelOps* Avx2OpsIfBuilt();
 
-/// The neon stub table, or nullptr when not built for AArch64.
-const KernelOps* NeonOpsIfBuilt();
-
 }  // namespace cpgan::tensor::kernels::internal
 
 #endif  // CPGAN_TENSOR_KERNELS_BACKENDS_H_

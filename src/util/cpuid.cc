@@ -12,17 +12,8 @@ bool CpuSupportsAvx2() {
 #endif
 }
 
-bool CpuSupportsNeon() {
-#if defined(__aarch64__)
-  return true;  // Advanced SIMD is architecturally required on AArch64.
-#else
-  return false;
-#endif
-}
-
 std::string CpuSimdSummary() {
   if (CpuSupportsAvx2()) return "avx2+fma";
-  if (CpuSupportsNeon()) return "neon";
   return "none";
 }
 

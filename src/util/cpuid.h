@@ -14,11 +14,8 @@ namespace cpgan::util {
 /// by the avx2 kernel backend). Always false on non-x86 builds.
 bool CpuSupportsAvx2();
 
-/// True on AArch64 builds (NEON is mandatory there). Always false on x86.
-bool CpuSupportsNeon();
-
 /// Human-readable summary of the detected SIMD capability, for logs and the
-/// obs snapshot: "avx2+fma", "neon", or "none".
+/// obs snapshot: "avx2+fma" or "none".
 std::string CpuSimdSummary();
 
 }  // namespace cpgan::util

@@ -1,6 +1,6 @@
 // Kernel differential tests: every optimized tensor kernel, under EVERY
-// compiled kernel backend (scalar, and avx2/neon where the hardware has
-// them), against the naive double-accumulator references in
+// compiled kernel backend (scalar, and avx2 where the hardware has it),
+// against the naive double-accumulator references in
 // src/testing/diff_harness.h, on shapes that straddle the serial/blocked
 // flop cutoff and the 64-wide tile boundaries (63/64/65), and at 1, 2, and
 // 8 threads. Two contracts are enforced:

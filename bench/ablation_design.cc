@@ -1,11 +1,9 @@
 // Ablation benches for this repo's own design choices (DESIGN.md §5-6),
 // beyond the paper's Table VI:
-//   1. Assembly quota fill: strict top-k (the paper's description) vs
-//      probability-proportional sampling.
-//   2. The fast-LR parameter group (decoder + node features at a higher
+//   1. The fast-LR parameter group (decoder + node features at a higher
 //      Adam rate) vs a single uniform learning rate.
-//   3. Discriminator update cadence (every epoch vs every other epoch).
-//   4. The A + A^2 two-hop adjacency variant mentioned in Section III-C1.
+//   2. Discriminator update cadence (every epoch vs every other epoch).
+//   3. The A + A^2 two-hop adjacency variant mentioned in Section III-C1.
 
 #include <cstdio>
 
@@ -49,8 +47,7 @@ int main() {
 
   core::CpganConfig base = bench::BenchCpganConfig(250, 12);
 
-  Evaluate("baseline (top-k fill, fast-lr 20x, D every 2)", base, observed,
-           table);
+  Evaluate("baseline (fast-lr 20x, D every 2)", base, observed, table);
 
   core::CpganConfig uniform_lr = base;
   uniform_lr.fast_lr_multiplier = 1.0f;

@@ -1,7 +1,6 @@
 #include "core/assembly.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <set>
 
@@ -84,17 +83,7 @@ graph::Graph AssembleGraph(int num_nodes, int64_t target_edges,
       for (int i = 0; i < k; ++i) {
         for (int j = i + 1; j < k; ++j) {
           double p = std::max(1e-9, static_cast<double>(probs.At(i, j)));
-          double key = p;
-          if (options.proportional_fill) {
-            // Efraimidis-Spirakis: ranking by u^(1/p) draws without
-            // replacement with probability proportional to p. Done in log
-            // space — log(u)/p has the same order as u^(1/p) but cannot
-            // underflow when 1/p reaches 1e9 (a float power collapses every
-            // small-p key to 0.0f, degenerating the fill into arbitrary
-            // tie-breaking among zeros).
-            key = std::log(rng.Uniform()) / p;
-          }
-          scored.push_back({key, {ids[i], ids[j]}});
+          scored.push_back({p, {ids[i], ids[j]}});
         }
       }
       // Total order: key descending, then (u, v) ascending, so tied keys

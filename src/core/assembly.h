@@ -23,13 +23,6 @@ struct AssemblyOptions {
   /// Upper bound on decoding rounds, as a multiple of ceil(n / n_s).
   int max_passes = 8;
 
-  /// Quota-fill strategy: true selects edges by probability-proportional
-  /// sampling without replacement (preserves the decoder's relative
-  /// community densities); false takes the strict top-k entries. The paper
-  /// describes top-k; proportional filling is the lower-variance variant
-  /// that keeps block densities faithful when probabilities are diffuse.
-  bool proportional_fill = false;
-
   /// Cooperative cancellation, polled at every phase boundary (before each
   /// decode chunk and between passes). When it returns true, assembly stops
   /// and returns the edges built so far; the server polls its request

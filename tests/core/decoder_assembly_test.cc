@@ -317,35 +317,6 @@ TEST(SamplerTest, UniformSampleBounds) {
 namespace cpgan::core {
 namespace {
 
-TEST(AssemblyTest, ProportionalFillFollowsDensities) {
-  // Two blocks: intra-block probability 0.6, cross 0.05. Proportional fill
-  // must place most edges inside blocks.
-  int n = 40;
-  auto scorer = [n](const std::vector<int>& ids) {
-    tensor::Matrix probs(static_cast<int>(ids.size()),
-                         static_cast<int>(ids.size()));
-    for (size_t a = 0; a < ids.size(); ++a) {
-      for (size_t b = 0; b < ids.size(); ++b) {
-        if (a == b) continue;
-        bool same_block = (ids[a] < n / 2) == (ids[b] < n / 2);
-        probs.At(static_cast<int>(a), static_cast<int>(b)) =
-            same_block ? 0.6f : 0.05f;
-      }
-    }
-    return probs;
-  };
-  util::Rng rng(31);
-  AssemblyOptions options;
-  options.subgraph_size = n;
-  options.proportional_fill = true;
-  graph::Graph out = AssembleGraph(n, 120, scorer, options, rng);
-  int64_t intra = 0;
-  for (const auto& [u, v] : out.Edges()) {
-    if ((u < n / 2) == (v < n / 2)) ++intra;
-  }
-  EXPECT_GT(static_cast<double>(intra) / out.num_edges(), 0.6);
-}
-
 TEST(AssemblyTest, TopKFillDeterministicallyPicksHighest) {
   // With distinct scores and no categorical noise possible (quota covers
   // everything), top-k fill must select exactly the highest-score pairs.
@@ -365,69 +336,8 @@ TEST(AssemblyTest, TopKFillDeterministicallyPicksHighest) {
   util::Rng rng(32);
   AssemblyOptions options;
   options.subgraph_size = 10;
-  options.proportional_fill = false;
   graph::Graph out = AssembleGraph(10, 3, scorer, options, rng);
   EXPECT_TRUE(out.HasEdge(0, 1));
-}
-
-TEST(AssemblyTest, ProportionalFillKeepsRatesForTinyProbabilities) {
-  // Regression for the Efraimidis-Spirakis key underflow: with
-  // probabilities near the 1e-9 clamp, float pow(u, 1/p) collapses every
-  // key to 0.0f and the "proportional" fill degenerates into arbitrary
-  // tie-breaking. The log-space keys must keep selecting pairs at their
-  // proportional rate, so pairs with p = 2e-8 are picked ~2x as often as
-  // pairs with p = 1e-8.
-  const int n = 24;
-  auto scorer = [](const std::vector<int>& ids) {
-    const int k = static_cast<int>(ids.size());
-    tensor::Matrix probs(k, k);
-    for (int a = 0; a < k; ++a) {
-      for (int b = 0; b < k; ++b) {
-        if (a == b) continue;
-        int u = std::min(ids[a], ids[b]);
-        int v = std::max(ids[a], ids[b]);
-        if (v == u + 1 && u % 2 == 0) {
-          // Anchor pairs soak up step 1's per-node categorical draw so the
-          // quota fill below operates purely on the tiny probabilities.
-          probs.At(a, b) = 0.9f;
-        } else {
-          probs.At(a, b) = (u + v) % 2 == 0 ? 2e-8f : 1e-8f;
-        }
-      }
-    }
-    return probs;
-  };
-  const int anchors = n / 2;
-  int64_t special_pairs = 0;
-  int64_t base_pairs = 0;
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      if (v == u + 1 && u % 2 == 0) continue;
-      ((u + v) % 2 == 0 ? special_pairs : base_pairs) += 1;
-    }
-  }
-  AssemblyOptions options;
-  options.subgraph_size = n;  // single chunk: no shuffle noise
-  options.proportional_fill = true;
-  util::Rng rng(101);
-  int64_t special_hits = 0;
-  int64_t base_hits = 0;
-  const int trials = 400;
-  for (int trial = 0; trial < trials; ++trial) {
-    graph::Graph out = AssembleGraph(n, anchors + 40, scorer, options, rng);
-    for (const auto& [u, v] : out.Edges()) {
-      if (v == u + 1 && u % 2 == 0) continue;
-      ((u + v) % 2 == 0 ? special_hits : base_hits) += 1;
-    }
-  }
-  double special_rate =
-      static_cast<double>(special_hits) / (special_pairs * trials);
-  double base_rate = static_cast<double>(base_hits) / (base_pairs * trials);
-  ASSERT_GT(base_rate, 0.0);
-  // Exactly 2 minus a little without-replacement attenuation (40 draws
-  // from 264 pairs). The underflow bug yields a ratio near 1.
-  EXPECT_GT(special_rate / base_rate, 1.6);
-  EXPECT_LT(special_rate / base_rate, 2.4);
 }
 
 /// Reference assembly: AssembleGraph's passes, chunks and RNG draws, with
@@ -480,9 +390,7 @@ graph::Graph FullSortAssemble(int num_nodes, int64_t target_edges,
         for (int j = i + 1; j < k; ++j) {
           const double p =
               std::max(1e-9, static_cast<double>(probs.At(i, j)));
-          const double key =
-              options.proportional_fill ? std::log(rng.Uniform()) / p : p;
-          scored.push_back({key, {ids[i], ids[j]}});
+          scored.push_back({p, {ids[i], ids[j]}});
         }
       }
       std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
@@ -543,26 +451,21 @@ TEST(AssemblyTest, BlockSelectionMatchesFullSort) {
   };
   bool saw_second_block = false;
   for (const auto& [name, scorer] : scorers) {
-    for (bool proportional : {false, true}) {
-      for (int subgraph : {n, 32, 16}) {
-        for (int64_t target : {40, 300, 900}) {
-          AssemblyOptions options;
-          options.subgraph_size = subgraph;
-          options.proportional_fill = proportional;
-          util::Rng rng(41);
-          util::Rng ref_rng(41);
-          bool past_first_block = false;
-          const graph::Graph got =
-              AssembleGraph(n, target, scorer, options, rng);
-          const graph::Graph want = FullSortAssemble(
-              n, target, scorer, options, ref_rng, &past_first_block);
-          saw_second_block = saw_second_block || past_first_block;
-          EXPECT_EQ(got.Edges(), want.Edges())
-              << name << (proportional ? " proportional" : " top-k")
-              << " subgraph " << subgraph << " target " << target;
-          // Both consumed the same draws.
-          EXPECT_EQ(rng.engine()(), ref_rng.engine()());
-        }
+    for (int subgraph : {n, 32, 16}) {
+      for (int64_t target : {40, 300, 900}) {
+        AssemblyOptions options;
+        options.subgraph_size = subgraph;
+        util::Rng rng(41);
+        util::Rng ref_rng(41);
+        bool past_first_block = false;
+        const graph::Graph got = AssembleGraph(n, target, scorer, options, rng);
+        const graph::Graph want = FullSortAssemble(
+            n, target, scorer, options, ref_rng, &past_first_block);
+        saw_second_block = saw_second_block || past_first_block;
+        EXPECT_EQ(got.Edges(), want.Edges())
+            << name << " subgraph " << subgraph << " target " << target;
+        // Both consumed the same draws.
+        EXPECT_EQ(rng.engine()(), ref_rng.engine()());
       }
     }
   }

@@ -8,7 +8,6 @@
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/pairnorm.h"
-#include "nn/topk_pool.h"
 #include "tests/test_util.h"
 
 namespace cpgan::nn {
@@ -171,66 +170,6 @@ TEST(GruTest, GradCheckThroughTwoSteps) {
       return t::SumAll(t::Square(h));
     });
   }
-}
-
-}  // namespace
-}  // namespace cpgan::nn
-
-namespace cpgan::nn {
-namespace {
-
-namespace tk = cpgan::tensor;
-
-TEST(TopKPoolTest, KeepsHighestScoringNodes) {
-  util::Rng rng(20);
-  TopKPool pool(3, 0.5, rng);
-  tk::Tensor x = tk::Constant(cpgan::testing::TestMatrix(8, 3, 1.0f, 30));
-  tk::Tensor a = tk::Constant(tk::Matrix(8, 8, 0.1f));
-  TopKPoolOutput out = pool.Forward(x, a);
-  EXPECT_EQ(out.kept.size(), 4u);
-  EXPECT_EQ(out.features.rows(), 4);
-  EXPECT_EQ(out.features.cols(), 3);
-  EXPECT_EQ(out.adjacency.rows(), 4);
-  EXPECT_EQ(out.adjacency.cols(), 4);
-}
-
-TEST(TopKPoolTest, AdjacencyIsInducedSubmatrix) {
-  util::Rng rng(21);
-  TopKPool pool(2, 0.5, rng);
-  tk::Tensor x = tk::Constant(cpgan::testing::TestMatrix(6, 2, 1.0f, 31));
-  tk::Matrix adj(6, 6);
-  for (int i = 0; i < 6; ++i) {
-    for (int j = 0; j < 6; ++j) adj.At(i, j) = static_cast<float>(10 * i + j);
-  }
-  TopKPoolOutput out = pool.Forward(x, tk::Constant(adj));
-  for (size_t a = 0; a < out.kept.size(); ++a) {
-    for (size_t b = 0; b < out.kept.size(); ++b) {
-      EXPECT_FLOAT_EQ(out.adjacency.value().At(static_cast<int>(a),
-                                               static_cast<int>(b)),
-                      adj.At(out.kept[a], out.kept[b]));
-    }
-  }
-}
-
-TEST(TopKPoolTest, GradientsFlowThroughGate) {
-  util::Rng rng(22);
-  TopKPool pool(3, 0.5, rng);
-  tk::Tensor x(cpgan::testing::TestMatrix(8, 3, 1.0f, 32), true);
-  tk::Tensor a = tk::Constant(tk::Matrix(8, 8, 0.1f));
-  TopKPoolOutput out = pool.Forward(x, a);
-  tk::Backward(tk::SumAll(tk::Square(out.features)));
-  EXPECT_GT(x.grad().Norm(), 0.0f);
-  for (tk::Tensor& p : pool.Parameters()) {
-    EXPECT_GT(p.grad().Norm(), 0.0f);
-  }
-}
-
-TEST(TopKPoolTest, FullRatioKeepsEveryNode) {
-  util::Rng rng(23);
-  TopKPool pool(2, 1.0, rng);
-  tk::Tensor x = tk::Constant(cpgan::testing::TestMatrix(5, 2, 1.0f, 33));
-  tk::Tensor a = tk::Constant(tk::Matrix(5, 5, 0.2f));
-  EXPECT_EQ(pool.Forward(x, a).kept.size(), 5u);
 }
 
 }  // namespace

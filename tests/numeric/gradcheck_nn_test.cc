@@ -12,7 +12,6 @@
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/pairnorm.h"
-#include "nn/topk_pool.h"
 #include "tensor/ops.h"
 #include "testing/gradcheck.h"
 #include "tests/test_util.h"
@@ -162,73 +161,6 @@ TEST(GradCheckNn, GruCell) {
         return t::SumAll(t::Square(cell.Forward(x2, state)));
       },
       WithInputs(cell, {x2})));
-}
-
-TEST(GradCheckNn, TopKPool) {
-  util::Rng rng(6);
-  TopKPool pool(3, 0.5, rng);
-  // Rows are strongly separated along a fixed direction so the +-1e-3
-  // finite-difference perturbations can never flip the top-k selection
-  // (selection flips are step discontinuities no checker tolerates).
-  t::Tensor proj = pool.Parameters()[0];
-  ASSERT_EQ(proj.rows(), 3);
-  float proj_values[3] = {0.6f, -0.2f, 0.6f};
-  for (int i = 0; i < 3; ++i) {
-    proj.mutable_value().At(i, 0) = proj_values[i];
-  }
-  t::Tensor x = Param(6, 3, 0.05f, 71);
-  for (int i = 0; i < 6; ++i) {
-    // Score gap between consecutive rows ~ (0.6 - 0.2 + 0.6) = 1.0.
-    for (int j = 0; j < 3; ++j) x.mutable_value().At(i, j) += 1.0f * i;
-  }
-  t::Tensor adjacency = Param(6, 6, 1.0f, 72);
-  ExpectOk(CheckOpGradient(
-      "nn.TopKPool",
-      [&] {
-        TopKPoolOutput out = pool.Forward(x, adjacency);
-        return t::Add(t::SumAll(t::Square(out.features)),
-                      t::SumAll(t::Square(out.adjacency)));
-      },
-      WithInputs(pool, {x, adjacency})));
-}
-
-TEST(GradCheckNn, TopKPoolProjectionNormGradientRegression) {
-  // Pinned regression: the score normalization y = X p / ||p|| used to
-  // treat ||p|| as a constant, silently dropping the -y p/||p||^2 term from
-  // dL/dp. With x = p^T and p = [2], y = 2/2 = 1 regardless of p, so the
-  // true projection gradient of any loss over y is exactly 0 — the old
-  // detached-norm code reported dL/dp = 1/||p|| * x = 1 instead.
-  util::Rng rng(7);
-  TopKPool pool(1, 1.0, rng);
-  t::Tensor proj = pool.Parameters()[0];
-  proj.mutable_value().At(0, 0) = 2.0f;
-  t::Tensor x(TestMatrix(1, 1, 1.0f, 81), /*requires_grad=*/false);
-  x.mutable_value().At(0, 0) = 2.0f;
-  t::Tensor adjacency(TestMatrix(1, 1, 1.0f, 82), /*requires_grad=*/false);
-
-  proj.ZeroGrad();
-  TopKPoolOutput out = pool.Forward(x, adjacency);
-  t::Backward(t::SumAll(out.features));
-  ASSERT_EQ(proj.grad().size(), 1);
-  // d features / d p must vanish: features = sigmoid(1) * x and y == 1 is
-  // scale-invariant in p.
-  EXPECT_NEAR(proj.grad().At(0, 0), 0.0f, 1e-5f);
-}
-
-TEST(GradCheckNn, TopKPoolEmptyCommunityRegression) {
-  // Pinned regression: an empty community (0-node input) used to crash —
-  // keep = max(1, ceil(ratio * 0)) = 1 asked GatherRows for a row that
-  // does not exist. An empty pool must keep nothing.
-  util::Rng rng(8);
-  TopKPool pool(3, 0.5, rng);
-  t::Tensor x = Param(0, 3, 1.0f, 91);
-  t::Tensor adjacency = Param(0, 0, 1.0f, 92);
-  TopKPoolOutput out = pool.Forward(x, adjacency);
-  EXPECT_EQ(out.features.rows(), 0);
-  EXPECT_EQ(out.features.cols(), 3);
-  EXPECT_EQ(out.adjacency.rows(), 0);
-  EXPECT_EQ(out.adjacency.cols(), 0);
-  EXPECT_TRUE(out.kept.empty());
 }
 
 }  // namespace

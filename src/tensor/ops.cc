@@ -159,51 +159,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       });
 }
 
-Tensor Div(const Tensor& a, const Tensor& b) {
-  CPGAN_CHECK(a.value().SameShape(b.value()));
-  Matrix out(a.rows(), a.cols());
-  {
-    const float* ap = a.value().data();
-    const float* bp = b.value().data();
-    float* op = out.data();
-    util::ParallelFor(0, out.size(), kElemGrain, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) op[i] = ap[i] / bp[i];
-    });
-  }
-  return Tensor::MakeNode(
-      std::move(out), {a, b}, [](const Matrix& g, Node& self) {
-        Node* a_in = self.inputs[0].get();
-        Node* b_in = self.inputs[1].get();
-        const float* gp = g.data();
-        if (a_in->requires_grad) {
-          Matrix da(g.rows(), g.cols());
-          const float* bp = b_in->value.data();
-          float* dp = da.data();
-          util::ParallelFor(0, g.size(), kElemGrain,
-                            [&](int64_t lo, int64_t hi) {
-                              for (int64_t i = lo; i < hi; ++i) {
-                                dp[i] = gp[i] / bp[i];
-                              }
-                            });
-          a_in->AccumulateGrad(da);
-        }
-        if (b_in->requires_grad) {
-          Matrix db(g.rows(), g.cols());
-          const float* ap = a_in->value.data();
-          const float* bp = b_in->value.data();
-          float* dp = db.data();
-          util::ParallelFor(0, g.size(), kElemGrain,
-                            [&](int64_t lo, int64_t hi) {
-                              for (int64_t i = lo; i < hi; ++i) {
-                                float bv = bp[i];
-                                dp[i] = -gp[i] * ap[i] / (bv * bv);
-                              }
-                            });
-          b_in->AccumulateGrad(db);
-        }
-      });
-}
-
 Tensor AddRowVec(const Tensor& x, const Tensor& v) {
   CPGAN_CHECK_EQ(v.rows(), 1);
   CPGAN_CHECK_EQ(v.cols(), x.cols());
@@ -430,12 +385,6 @@ Tensor Softplus(const Tensor& x) {
                           [](float xv, float) { return StableSigmoid(xv); });
 }
 
-Tensor LogSigmoid(const Tensor& x) {
-  return ElementwiseUnary(
-      x, [](float v) { return -StableSoftplus(-v); },
-      [](float xv, float) { return 1.0f - StableSigmoid(xv); });
-}
-
 Tensor Reciprocal(const Tensor& x) {
   return ElementwiseUnary(x, [](float v) { return 1.0f / v; },
                           [](float, float yv) { return -yv * yv; });
@@ -490,31 +439,6 @@ Tensor SoftmaxRows(const Tensor& x) {
             });
         input->AccumulateGrad(dx);
       });
-}
-
-Tensor Dropout(const Tensor& x, float p, util::Rng& rng, bool train) {
-  if (!train || p <= 0.0f) return x;
-  CPGAN_CHECK_LT(p, 1.0f);
-  // Serial by contract: the mask must consume the RNG stream in index
-  // order, which is part of the end-to-end reproducibility guarantee.
-  auto mask = std::make_shared<Matrix>(x.rows(), x.cols());
-  float keep_scale = 1.0f / (1.0f - p);
-  Matrix out(x.rows(), x.cols());
-  for (int64_t i = 0; i < out.size(); ++i) {
-    float m = rng.Bernoulli(p) ? 0.0f : keep_scale;
-    mask->data()[i] = m;
-    out.data()[i] = x.value().data()[i] * m;
-  }
-  return Tensor::MakeNode(std::move(out), {x},
-                          [mask](const Matrix& g, Node& self) {
-                            Node* input = self.inputs[0].get();
-                            if (!input->requires_grad) return;
-                            Matrix dx(g.rows(), g.cols());
-                            for (int64_t i = 0; i < g.size(); ++i) {
-                              dx.data()[i] = g.data()[i] * mask->data()[i];
-                            }
-                            input->AccumulateGrad(dx);
-                          });
 }
 
 Tensor Matmul(const Tensor& a, const Tensor& b) {
@@ -762,10 +686,6 @@ Tensor RowSum(const Tensor& x) {
       });
 }
 
-Tensor RowMean(const Tensor& x) {
-  return Scale(RowSum(x), 1.0f / static_cast<float>(x.cols()));
-}
-
 Tensor RowL2Norm(const Tensor& x) {
   Matrix out(x.rows(), 1);
   const Matrix& xv = x.value();
@@ -871,29 +791,12 @@ bool AllFinite(const Matrix& m) {
   return true;
 }
 
-bool ValueFinite(const Tensor& t) {
-  return t.defined() && AllFinite(t.value());
-}
-
 bool GradsFinite(const std::vector<Tensor>& params) {
   for (const Tensor& p : params) {
     if (!p.defined()) continue;
     if (!AllFinite(p.grad())) return false;
   }
   return true;
-}
-
-float MaxAbsGrad(const std::vector<Tensor>& params) {
-  float max_abs = 0.0f;
-  for (const Tensor& p : params) {
-    if (!p.defined()) continue;
-    const Matrix& g = p.grad();
-    for (int64_t i = 0; i < g.size(); ++i) {
-      float a = std::fabs(g.data()[i]);
-      if (a > max_abs) max_abs = a;
-    }
-  }
-  return max_abs;
 }
 
 }  // namespace cpgan::tensor

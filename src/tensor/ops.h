@@ -6,7 +6,6 @@
 
 #include "tensor/sparse.h"
 #include "tensor/tensor.h"
-#include "util/rng.h"
 
 namespace cpgan::tensor {
 
@@ -26,8 +25,6 @@ Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 /// a ∘ b (Hadamard product).
 Tensor Mul(const Tensor& a, const Tensor& b);
-/// a / b elementwise; b must be nonzero.
-Tensor Div(const Tensor& a, const Tensor& b);
 
 /// x + v where v is 1 x d, broadcast over rows (bias add).
 Tensor AddRowVec(const Tensor& x, const Tensor& v);
@@ -66,8 +63,6 @@ Tensor Square(const Tensor& x);
 Tensor Sqrt(const Tensor& x);
 /// log(1 + e^x), numerically stable.
 Tensor Softplus(const Tensor& x);
-/// log(sigmoid(x)), numerically stable (= -softplus(-x)).
-Tensor LogSigmoid(const Tensor& x);
 /// 1 / x.
 Tensor Reciprocal(const Tensor& x);
 
@@ -78,10 +73,6 @@ float StableSigmoid(float x);
 
 /// Row-wise softmax.
 Tensor SoftmaxRows(const Tensor& x);
-
-/// Inverted-dropout. Active only when `train` is true; scales kept entries by
-/// 1/(1-p) so expectations match at eval time.
-Tensor Dropout(const Tensor& x, float p, util::Rng& rng, bool train);
 
 // ---------------------------------------------------------------------------
 // Matrix products.
@@ -121,8 +112,6 @@ Tensor MeanAll(const Tensor& x);
 Tensor ColMean(const Tensor& x);
 /// Row sums (collapse columns) -> n x 1.
 Tensor RowSum(const Tensor& x);
-/// Row means (collapse columns) -> n x 1.
-Tensor RowMean(const Tensor& x);
 /// Per-row L2 norms -> n x 1.
 Tensor RowL2Norm(const Tensor& x);
 
@@ -156,15 +145,9 @@ Tensor ScalarConstant(float value);
 /// True if every entry is finite (no NaN/Inf).
 bool AllFinite(const Matrix& m);
 
-/// True if the tensor's forward value is entirely finite.
-bool ValueFinite(const Tensor& t);
-
 /// True if every parameter's accumulated gradient is finite. Parameters whose
 /// gradient was never touched by Backward (zero-shaped) count as finite.
 bool GradsFinite(const std::vector<Tensor>& params);
-
-/// Largest absolute entry across all parameter gradients (0 if none).
-float MaxAbsGrad(const std::vector<Tensor>& params);
 
 }  // namespace cpgan::tensor
 

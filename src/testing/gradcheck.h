@@ -62,8 +62,8 @@ struct GradCheckResult {
 ///
 /// `loss_fn` must rebuild the loss graph from the *current* values of the
 /// parameters on every call (no reuse of old graph nodes) and return a 1x1
-/// tensor. Stochastic ops (Dropout) must draw from a freshly re-seeded Rng
-/// inside `loss_fn` so every call sees the same mask.
+/// tensor. A forward that draws random numbers must draw from a freshly
+/// re-seeded Rng inside `loss_fn` so every call sees the same draws.
 GradCheckResult GradCheck(const std::function<tensor::Tensor()>& loss_fn,
                           const std::vector<tensor::Tensor>& params,
                           const GradCheckOptions& options = {});

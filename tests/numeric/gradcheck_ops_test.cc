@@ -73,15 +73,6 @@ TEST(GradCheckOps, Mul) {
   }
 }
 
-TEST(GradCheckOps, Div) {
-  for (auto [r, c] : kShapes) {
-    Tensor a = Param(r, c, 1.0f, 7);
-    Tensor b = ShiftedParam(r, c, 2.0f, 0.5f, 8);  // denominator away from 0
-    ExpectOk(CheckOpGradient(
-        "Div", [&] { return SumAll(Div(a, b)); }, {a, b}));
-  }
-}
-
 TEST(GradCheckOps, AddRowVec) {
   for (auto [r, c] : kShapes) {
     Tensor x = Param(r, c, 1.0f, 9);
@@ -153,8 +144,6 @@ TEST(GradCheckOps, ElementwiseUnary) {
       "Square", [&] { return SumAll(Square(x)); }, {x}));
   ExpectOk(CheckOpGradient(
       "Softplus", [&] { return SumAll(Square(Softplus(x))); }, {x}));
-  ExpectOk(CheckOpGradient(
-      "LogSigmoid", [&] { return SumAll(Square(LogSigmoid(x))); }, {x}));
 
   // Log/Sqrt/Reciprocal need strictly positive inputs clear of their
   // clamps/poles.
@@ -190,31 +179,6 @@ TEST(GradCheckOps, SoftmaxRowsZeroColumnsRegression) {
   Tensor loss = Add(SumAll(y), SumAll(x));
   Backward(loss);
   EXPECT_EQ(x.grad().rows(), 3);
-}
-
-TEST(GradCheckOps, DropoutEvalIsIdentity) {
-  // Eval-mode dropout must be the identity in both value and gradient.
-  Tensor x = Param(4, 3, 1.0f, 23);
-  util::Rng rng(11);
-  ExpectOk(CheckOpGradient(
-      "Dropout",
-      [&] { return SumAll(Square(Dropout(x, 0.5f, rng, /*train=*/false))); },
-      {x}));
-  Tensor out = Dropout(x, 0.5f, rng, /*train=*/false);
-  EXPECT_EQ(out.node(), x.node());  // literally the same tensor
-}
-
-TEST(GradCheckOps, DropoutTrainMask) {
-  // Train-mode: re-seed the Rng inside the loss so every finite-difference
-  // evaluation sees the same mask.
-  Tensor x = ShiftedParam(4, 5, 1.5f, 0.5f, 24);
-  ExpectOk(CheckOpGradient(
-      "Dropout",
-      [&] {
-        util::Rng rng(99);
-        return SumAll(Square(Dropout(x, 0.4f, rng, /*train=*/true)));
-      },
-      {x}));
 }
 
 TEST(GradCheckOps, Matmul) {
@@ -300,8 +264,6 @@ TEST(GradCheckOps, Reductions) {
         "ColMean", [&] { return SumAll(Square(ColMean(x))); }, {x}));
     ExpectOk(CheckOpGradient(
         "RowSum", [&] { return SumAll(Square(RowSum(x))); }, {x}));
-    ExpectOk(CheckOpGradient(
-        "RowMean", [&] { return SumAll(Square(RowMean(x))); }, {x}));
   }
   // RowL2Norm has a pole at zero rows; shift inputs away from the origin.
   Tensor away = ShiftedParam(4, 3, 1.0f, 0.3f, 39);

@@ -100,17 +100,6 @@ TEST(GradCheckTest, AddSubMul) {
   ExpectGradCheck(b, [&] { return SumAll(Mul(Add(a, b), Sub(a, b))); });
 }
 
-TEST(GradCheckTest, Div) {
-  Tensor a = Param(2, 3, 1.0f, 3);
-  Tensor b(TestMatrix(2, 3, 0.5f, 4), true);
-  // Shift denominator away from zero.
-  for (int64_t i = 0; i < b.value().size(); ++i) {
-    b.mutable_value().data()[i] += 2.0f;
-  }
-  ExpectGradCheck(a, [&] { return SumAll(Div(a, b)); });
-  ExpectGradCheck(b, [&] { return SumAll(Div(a, b)); });
-}
-
 TEST(GradCheckTest, RowVecBroadcasts) {
   Tensor x = Param(4, 3, 1.0f, 5);
   Tensor v = Param(1, 3, 1.0f, 6);
@@ -138,7 +127,6 @@ TEST(GradCheckTest, Activations) {
   ExpectGradCheck(x, [&] { return SumAll(Sigmoid(x)); });
   ExpectGradCheck(x, [&] { return SumAll(Tanh(x)); });
   ExpectGradCheck(x, [&] { return SumAll(Softplus(x)); });
-  ExpectGradCheck(x, [&] { return SumAll(LogSigmoid(x)); });
   ExpectGradCheck(x, [&] { return SumAll(Exp(Scale(x, 0.3f))); });
 }
 
@@ -213,7 +201,6 @@ TEST(GradCheckTest, Reductions) {
   ExpectGradCheck(x, [&] { return MeanAll(Square(x)); });
   ExpectGradCheck(x, [&] { return SumAll(Mul(ColMean(Square(x)), w_row)); });
   ExpectGradCheck(x, [&] { return SumAll(Mul(RowSum(Square(x)), w_col)); });
-  ExpectGradCheck(x, [&] { return SumAll(Mul(RowMean(Square(x)), w_col)); });
 }
 
 TEST(GradCheckTest, RowL2Norm) {
@@ -256,21 +243,6 @@ TEST(GradCheckTest, ComposedExpression) {
     Tensor s = SoftmaxRows(h);
     return SumAll(Mul(Log(AddConst(s, 0.01f)), picked));
   });
-}
-
-TEST(DropoutTest, EvalModeIsIdentity) {
-  util::Rng rng(1);
-  Tensor x = Param(4, 4);
-  Tensor y = Dropout(x, 0.5f, rng, /*train=*/false);
-  EXPECT_FLOAT_EQ(Sub(y, x).value().Norm(), 0.0f);
-}
-
-TEST(DropoutTest, TrainModePreservesExpectation) {
-  util::Rng rng(2);
-  Tensor x = Constant(Matrix(50, 50, 1.0f));
-  Tensor y = Dropout(x, 0.3f, rng, /*train=*/true);
-  double mean = y.value().Sum() / y.value().size();
-  EXPECT_NEAR(mean, 1.0, 0.1);
 }
 
 }  // namespace

@@ -4,56 +4,25 @@
 
 namespace cpgan::tensor {
 
-Optimizer::Optimizer(std::vector<Tensor> params, float lr)
-    : params_(std::move(params)), lr_(lr) {
-  for (const Tensor& p : params_) {
-    CPGAN_CHECK(p.defined());
-    CPGAN_CHECK(p.requires_grad());
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (Tensor& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const Tensor& p : params_) {
-      velocity_.emplace_back(p.rows(), p.cols());
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    const Matrix& g = p.grad();
-    Matrix& value = p.mutable_value();
-    if (momentum_ > 0.0f) {
-      Matrix& vel = velocity_[i];
-      vel.Scale(momentum_);
-      vel.Axpy(1.0f, g);
-      value.Axpy(-lr_, vel);
-    } else {
-      value.Axpy(-lr_, g);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params), lr),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Tensor& p : params_) {
+    CPGAN_CHECK(p.defined());
+    CPGAN_CHECK(p.requires_grad());
     m_.emplace_back(p.rows(), p.cols());
     v_.emplace_back(p.rows(), p.cols());
   }
+}
+
+void Adam::ZeroGrad() {
+  for (Tensor& p : params_) p.ZeroGrad();
 }
 
 void Adam::Step() {

@@ -7,18 +7,19 @@
 
 namespace cpgan::tensor {
 
-/// Base class for gradient-descent optimizers over a fixed parameter list.
-class Optimizer {
+/// Adam (Kingma & Ba, 2015) with bias correction over a fixed parameter
+/// list.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params, float lr);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f);
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update using the gradients currently accumulated on the
   /// parameters, then leaves the gradients untouched (call ZeroGrad next).
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears the gradient accumulators of every parameter.
   void ZeroGrad();
@@ -28,32 +29,10 @@ class Optimizer {
   void DecayLearningRate(float factor) { lr_ *= factor; }
 
   float learning_rate() const { return lr_; }
-  const std::vector<Tensor>& params() const { return params_; }
 
- protected:
+ private:
   std::vector<Tensor> params_;
   float lr_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-  void Step() override;
-
- private:
-  float momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba, 2015) with bias correction.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
-  void Step() override;
-
- private:
   float beta1_;
   float beta2_;
   float eps_;

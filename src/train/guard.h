@@ -45,7 +45,7 @@ enum class StepVerdict {
 const char* StepVerdictName(StepVerdict verdict);
 
 /// Numeric watchdog for an optimizer step, sitting between Backward() and
-/// Optimizer::Step() (state machine documented in docs/INTERNALS.md):
+/// Adam::Step() (state machine documented in docs/INTERNALS.md):
 ///
 ///   Inspect(loss, step_params)  -> kOk: caller applies the step, then
 ///                                  CommitGood(loss) snapshots the params as

@@ -231,7 +231,7 @@ class Cpgan {
   void SetFaultPlan(const train::FaultPlan& plan) { fault_plan_ = plan; }
 
  private:
-  /// Derives pooling sizes from the training subgraph size if unset.
+  /// Derives the pooling sizes from the training subgraph size.
   std::vector<int> ResolvePoolSizes(int subgraph_nodes) const;
 
   /// Shared model construction for Fit/FitMany and WarmStart: observed-graph

@@ -17,6 +17,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Assembly batch (nodes per decode chunk) under soft pressure, and batch
+/// and pass cap under heavy pressure (the degraded level).
+constexpr int kSoftSubgraphSize = 128;
+constexpr int kDegradedSubgraphSize = 64;
+constexpr int kDegradedMaxPasses = 2;
+
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -249,10 +255,10 @@ Response Server::Process(Job& job) {
   controls.num_nodes = request.nodes;
   controls.num_edges = request.edges;
   if (level == 1) {
-    controls.subgraph_size = options_.soft_subgraph_size;
+    controls.subgraph_size = kSoftSubgraphSize;
   } else if (level == 2) {
-    controls.subgraph_size = options_.degraded_subgraph_size;
-    controls.max_passes = options_.degraded_max_passes;
+    controls.subgraph_size = kDegradedSubgraphSize;
+    controls.max_passes = kDegradedMaxPasses;
   }
   controls.should_abort = cancelled;
   controls.hierarchical = request.hierarchical;

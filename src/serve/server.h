@@ -41,12 +41,10 @@ struct ServerOptions {
   /// Degradation ladder, driven by max(queue fraction, memory pressure):
   /// at `soft_pressure` the assembly batch shrinks (response still ok); at
   /// `heavy_pressure` generation runs reduced-fidelity (smaller batch, fewer
-  /// assembly passes) and the response is flagged degraded.
+  /// assembly passes) and the response is flagged degraded. The batch sizes
+  /// and the pass cap are fixed in serve/server.cc.
   double soft_pressure = 0.5;
   double heavy_pressure = 0.85;
-  int soft_subgraph_size = 128;
-  int degraded_subgraph_size = 64;
-  int degraded_max_passes = 2;
 
   /// Advisory tensor-memory budget installed into util::MemoryTracker at
   /// Start (feeds the pressure ladder). 0 keeps the tracker's current

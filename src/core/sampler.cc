@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace cpgan::core {
@@ -87,9 +86,6 @@ CoresetSample SensitivityCoresetSample(const graph::Graph& g, int count,
     result.nodes.push_back(v);
     result.weights.push_back(w);
   }
-  CPGAN_GAUGE_SET("coreset.distinct_nodes",
-                  static_cast<int64_t>(result.nodes.size()));
-  CPGAN_GAUGE_SET("coreset.requested_nodes", count);
   return result;
 }
 

@@ -27,13 +27,6 @@ std::string FormatMeanStdE2(const std::vector<double>& values) {
   return std::string(buffer);
 }
 
-std::string FormatMeanStd(const std::vector<double>& values) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3g±%.2g", Mean(values),
-                Stddev(values));
-  return std::string(buffer);
-}
-
 std::string FormatBytes(int64_t bytes) {
   char buffer[64];
   const char* units[] = {"KiB", "MiB", "GiB", "TiB"};

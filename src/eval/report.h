@@ -17,9 +17,6 @@ double Stddev(const std::vector<double>& values);
 /// ("72.5±0.4" for mean 0.725, std 0.004).
 std::string FormatMeanStdE2(const std::vector<double>& values);
 
-/// Formats "mean±std" in natural units.
-std::string FormatMeanStd(const std::vector<double>& values);
-
 /// Human-readable byte count: "512 B", "1.5 KiB", "2.3 MiB", "4.0 GiB".
 std::string FormatBytes(int64_t bytes);
 

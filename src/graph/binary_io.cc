@@ -13,7 +13,6 @@
 #include "util/fileio.h"
 #include "util/memory_tracker.h"
 #include "util/mmap_file.h"
-#include "util/timer.h"
 
 namespace cpgan::graph {
 
@@ -117,7 +116,6 @@ ConvertResult ConvertEdgeListToBinary(const std::string& text_path,
     result.error = "cannot write '" + binary_path + "'";
     return result;
   }
-  CPGAN_COUNTER_ADD("ingest.convert.edges", result.num_edges);
   return result;
 }
 
@@ -138,7 +136,6 @@ LoadResult LoadBinaryEdgeListDetailed(const std::string& path,
                                       const LoadOptions& options) {
   (void)options;  // binary loads are always strict (see header comment)
   CPGAN_STOPWATCH_SCOPE("ingest.mmap.load");
-  util::Timer timer;
   LoadResult result;
   auto fail = [&result, &path](const std::string& what) {
     result.error = "'" + path + "': " + what;
@@ -221,15 +218,6 @@ LoadResult LoadBinaryEdgeListDetailed(const std::string& path,
       &build_error);
   if (!graph.has_value()) return fail(build_error);
   result.graph = std::move(graph);
-
-  CPGAN_COUNTER_ADD("ingest.mmap.loads", 1);
-  CPGAN_COUNTER_ADD("ingest.mmap.edges", static_cast<int64_t>(num_edges));
-  const double seconds = timer.Seconds();
-  if (seconds > 0.0) {
-    CPGAN_GAUGE_SET("ingest.mmap.edges_per_sec",
-                    static_cast<int64_t>(static_cast<double>(num_edges) /
-                                         seconds));
-  }
   return result;
 }
 

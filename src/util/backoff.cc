@@ -5,7 +5,6 @@
 #include <cmath>
 #include <thread>
 
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace cpgan::util {
@@ -34,7 +33,6 @@ RetryResult RetryWithBackoff(const BackoffPolicy& policy, Rng& rng,
       return result;
     }
     if (attempt + 1 == max_attempts) break;
-    CPGAN_COUNTER_ADD("io.retries", 1);
     double delay_ms = BackoffDelayMs(policy, attempt, rng);
     result.slept_ms += delay_ms;
     if (sleeper) {

@@ -46,8 +46,7 @@ struct RetryResult {
 /// Runs `op` up to policy.max_attempts times, sleeping a jittered
 /// exponential delay between attempts, until it returns true. `sleeper`
 /// overrides the real std::this_thread sleep (tests pass a no-op to keep the
-/// suite fast). Every retry increments the `io.retries` counter so callers
-/// get transient-failure telemetry for free.
+/// suite fast). Callers count their own retries from the result.
 RetryResult RetryWithBackoff(const BackoffPolicy& policy, Rng& rng,
                              const std::function<bool()>& op,
                              const std::function<void(double)>& sleeper = {});

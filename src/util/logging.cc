@@ -10,13 +10,12 @@ namespace {
 
 LogLevel g_min_level = LogLevel::kInfo;
 
-// Sink state: stderr by default, or an owned append-mode FILE*. Guarded by
-// a leaked mutex so logging stays usable during static destruction.
+// Serializes whole lines on stderr. Leaked so logging stays usable during
+// static destruction.
 std::mutex& SinkMutex() {
   static std::mutex* mu = new std::mutex();
   return *mu;
 }
-std::FILE* g_log_file = nullptr;  // nullptr → stderr
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -63,18 +62,6 @@ LogLevel ParseLogLevel(const std::string& name) {
   return LogLevel::kInfo;
 }
 
-bool SetLogFile(const std::string& path) {
-  std::FILE* file = nullptr;
-  if (!path.empty()) {
-    file = std::fopen(path.c_str(), "ab");
-    if (file == nullptr) return false;
-  }
-  std::lock_guard<std::mutex> lock(SinkMutex());
-  if (g_log_file != nullptr) std::fclose(g_log_file);
-  g_log_file = file;
-  return true;
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -93,9 +80,7 @@ LogMessage::~LogMessage() {
   if (level_ < g_min_level) return;
   std::string message = stream_.str();
   std::lock_guard<std::mutex> lock(SinkMutex());
-  std::FILE* sink = g_log_file != nullptr ? g_log_file : stderr;
-  std::fprintf(sink, "%s\n", message.c_str());
-  if (g_log_file != nullptr) std::fflush(g_log_file);
+  std::fprintf(stderr, "%s\n", message.c_str());
 }
 
 }  // namespace internal

@@ -25,11 +25,6 @@ LogLevel GetLogLevel();
 /// kInfo for unknown names.
 LogLevel ParseLogLevel(const std::string& name);
 
-/// Redirects log output to `path` (appending; the file is created if
-/// missing). An empty path restores the default stderr sink. Returns false
-/// and keeps the current sink if the file cannot be opened. Thread safe.
-bool SetLogFile(const std::string& path);
-
 namespace internal {
 
 /// Stream-style log message that emits on destruction, mirroring the

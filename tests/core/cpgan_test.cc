@@ -11,6 +11,7 @@
 #include "graph/graph.h"
 #include "obs/trace.h"
 #include "tensor/kernels.h"
+#include "train/checkpoint.h"
 #include "util/rng.h"
 
 namespace cpgan::core {
@@ -323,6 +324,96 @@ TEST(CpganTest, FitManyAndCoresetTrainingMatchPinnedHashes) {
     EXPECT_EQ(edges, 0x97208e0c210b8194ULL)
         << "coreset graph: got 0x" << std::hex << edges;
   }
+}
+
+TEST(CpganTest, AblationTrainingMatchesPinnedHashes) {
+  // Pins the Table VI ablations and the two-hop adjacency bit for bit:
+  // every loss, and the graph Generate() draws afterwards. CPGAN-noH
+  // generates hierarchically, so its hash also covers the community labels
+  // it takes from the Louvain partition.
+  ScalarBackend scalar;
+  struct Case {
+    const char* name;
+    void (*configure)(CpganConfig&);
+    uint64_t losses;
+    uint64_t edges;
+  };
+  const Case cases[] = {
+      {"CPGAN-C", [](CpganConfig& c) { c.concat_decoder = true; },
+       0xaa3feccb655bcf96ULL, 0x47e5c27c56f6d22dULL},
+      {"CPGAN-noV", [](CpganConfig& c) { c.use_variational = false; },
+       0xe6bb8d0f39a9f024ULL, 0x5ea460aba1a96ff4ULL},
+      {"two-hop adjacency",
+       [](CpganConfig& c) { c.use_two_hop_adjacency = true; },
+       0x8b479a2d0e349cd2ULL, 0x742702a0b727bc88ULL},
+      {"CPGAN-noH",
+       [](CpganConfig& c) {
+         c.use_hierarchy = false;
+         c.hierarchical_generation = true;
+       },
+       0x1e73ade9b9960f50ULL, 0xfc9b6567b9e79b47ULL},
+  };
+  for (const Case& c : cases) {
+    CpganConfig config = FastConfig();
+    c.configure(config);
+    Cpgan model(config);
+    TrainStats stats = model.Fit(SmallCommunityGraph());
+    EXPECT_EQ(LossHash(stats), c.losses)
+        << c.name << " losses: got 0x" << std::hex << LossHash(stats);
+    const uint64_t edges = EdgeListHash(model.Generate());
+    EXPECT_EQ(edges, c.edges) << c.name << " graph: got 0x" << std::hex
+                              << edges;
+  }
+}
+
+TEST(CpganTest, GuardRecoveryMatchesPinnedHashes) {
+  // A NaN gradient at epoch 7 is rejected: the guard rolls the parameters
+  // back and every learning rate decays. Pins that run bit for bit.
+  ScalarBackend scalar;
+  Cpgan model(FastConfig());
+  train::FaultPlan plan;
+  plan.nan_grad_epoch = 7;
+  plan.nan_grad_param = 2;
+  model.SetFaultPlan(plan);
+  TrainStats stats = model.Fit(SmallCommunityGraph());
+  EXPECT_EQ(stats.recoveries, 1);
+  EXPECT_EQ(LossHash(stats), 0xf8f5f00645b48552ULL)
+      << "recovered losses: got 0x" << std::hex << LossHash(stats);
+  const uint64_t edges = EdgeListHash(model.Generate());
+  EXPECT_EQ(edges, 0x61ba8eb6e52a8fefULL)
+      << "recovered graph: got 0x" << std::hex << edges;
+}
+
+TEST(CpganTest, ResumedTrainingMatchesPinnedHashes) {
+  // Resumes from the epoch-8 checkpoint of a run whose learning rates decay
+  // every 3 epochs, so the catch-up applies two decays. Pins the resumed
+  // run bit for bit.
+  ScalarBackend scalar;
+  CpganConfig config = FastConfig();
+  config.lr_decay_every = 3;
+  config.checkpoint_dir = ::testing::TempDir() + "/cpgan_resume_pin";
+  config.checkpoint_every = 8;
+  const std::string checkpoint =
+      train::CheckpointPath(config.checkpoint_dir, 8);
+  std::remove(checkpoint.c_str());
+  {
+    Cpgan killed(config);
+    train::FaultPlan plan;
+    plan.stop_after_epoch = 7;
+    killed.SetFaultPlan(plan);
+    killed.Fit(SmallCommunityGraph());
+  }
+  config.checkpoint_dir.clear();
+  Cpgan model(config);
+  ASSERT_TRUE(model.ResumeFrom(checkpoint));
+  TrainStats stats = model.Fit(SmallCommunityGraph());
+  std::remove(checkpoint.c_str());
+  EXPECT_EQ(stats.start_epoch, 8);
+  EXPECT_EQ(LossHash(stats), 0x040cd255a0da6256ULL)
+      << "resumed losses: got 0x" << std::hex << LossHash(stats);
+  const uint64_t edges = EdgeListHash(model.Generate());
+  EXPECT_EQ(edges, 0x32b95088b63fe791ULL)
+      << "resumed graph: got 0x" << std::hex << edges;
 }
 
 /// Calls of the span `name` recorded since the last ResetTraces.

@@ -4,13 +4,18 @@
 
 namespace cpgan::tensor {
 
-Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
-           float eps)
-    : params_(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
+namespace {
+
+/// Decay rates of the first and second moment estimates, and the
+/// denominator's floor.
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
+}  // namespace
+
+Adam::Adam(std::vector<Tensor> params, float lr)
+    : params_(std::move(params)), lr_(lr) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Tensor& p : params_) {
@@ -27,8 +32,8 @@ void Adam::ZeroGrad() {
 
 void Adam::Step() {
   ++t_;
-  float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  float bias1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  float bias2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor& p = params_[i];
     const Matrix& g = p.grad();
@@ -37,11 +42,11 @@ void Adam::Step() {
     Matrix& value = p.mutable_value();
     for (int64_t j = 0; j < value.size(); ++j) {
       float gj = g.data()[j];
-      m.data()[j] = beta1_ * m.data()[j] + (1.0f - beta1_) * gj;
-      v.data()[j] = beta2_ * v.data()[j] + (1.0f - beta2_) * gj * gj;
+      m.data()[j] = kBeta1 * m.data()[j] + (1.0f - kBeta1) * gj;
+      v.data()[j] = kBeta2 * v.data()[j] + (1.0f - kBeta2) * gj * gj;
       float m_hat = m.data()[j] / bias1;
       float v_hat = v.data()[j] / bias2;
-      value.data()[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+      value.data()[j] -= lr_ * m_hat / (std::sqrt(v_hat) + kEps);
     }
   }
 }

@@ -8,11 +8,10 @@
 namespace cpgan::tensor {
 
 /// Adam (Kingma & Ba, 2015) with bias correction over a fixed parameter
-/// list.
+/// list, at Kingma & Ba's beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 class Adam {
  public:
-  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
+  Adam(std::vector<Tensor> params, float lr);
 
   Adam(const Adam&) = delete;
   Adam& operator=(const Adam&) = delete;
@@ -33,9 +32,6 @@ class Adam {
  private:
   std::vector<Tensor> params_;
   float lr_;
-  float beta1_;
-  float beta2_;
-  float eps_;
   int64_t t_ = 0;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;

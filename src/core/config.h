@@ -117,14 +117,6 @@ struct CpganConfig {
   /// "Threading model").
   int num_threads = 0;
 
-  /// Kernel backend for the dense/sparse tensor primitives: "scalar" or
-  /// "avx2" (must be available on this machine). Empty keeps the
-  /// process-wide selection (CPGAN_KERNEL_BACKEND env var, falling back to
-  /// CPUID auto-detection). Results are bitwise reproducible within a
-  /// backend; backends differ from each other below the differential-test
-  /// tolerance (docs/INTERNALS.md, "Kernel backends").
-  std::string kernel_backend;
-
   /// RNG seed for parameters, sampling, and generation.
   uint64_t seed = 1;
 
@@ -132,26 +124,6 @@ struct CpganConfig {
   bool verbose = false;
 
   // ----- Fault tolerance (src/train/; docs/INTERNALS.md) -----
-
-  /// Numeric training guard: every optimizer step's loss and gradients are
-  /// checked for NaN/Inf and explosion; a rejected step is skipped and the
-  /// parameters roll back to the last-known-good snapshot.
-  bool guard_enabled = true;
-
-  /// Rolling window of recent good losses used as the explosion reference.
-  int guard_window = 16;
-
-  /// Reject a step whose |loss| exceeds this multiple of the windowed mean
-  /// absolute loss (<= 0 disables the explosion check).
-  float guard_explosion_factor = 25.0f;
-
-  /// Learning-rate multiplier applied to all optimizers after each guard
-  /// recovery (1 = keep the rate).
-  float guard_lr_decay = 0.5f;
-
-  /// Stop training after this many guard recoveries instead of thrashing
-  /// (the model keeps its last-known-good weights). 0 = unlimited.
-  int guard_max_recoveries = 0;
 
   /// Directory for periodic training checkpoints (created if missing).
   /// Empty disables checkpointing.

@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/run_logger.h"
 #include "obs/trace.h"
-#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "train/checkpoint.h"
@@ -127,13 +126,6 @@ Cpgan::Cpgan(const CpganConfig& config) : config_(config), rng_(config.seed) {
   CPGAN_CHECK_GE(config_.feature_dim, 1);
   if (config_.num_threads > 0) {
     util::ThreadPool::SetGlobalThreads(config_.num_threads);
-  }
-  if (!config_.kernel_backend.empty()) {
-    std::string error;
-    if (!tensor::kernels::SetBackend(config_.kernel_backend, &error)) {
-      CPGAN_LOG(Warning) << "kernel_backend: " << error
-                         << "; keeping process-wide selection";
-    }
   }
 }
 
@@ -326,12 +318,7 @@ TrainStats Cpgan::Train(const std::vector<graph::Graph>& graphs) {
   // the same list is what checkpoints persist.
   std::vector<t::Tensor> params_all = CollectAllParams();
 
-  train::GuardConfig guard_config;
-  guard_config.enabled = config_.guard_enabled;
-  guard_config.window = config_.guard_window;
-  guard_config.explosion_factor = config_.guard_explosion_factor;
-  guard_config.lr_decay_on_recovery = config_.guard_lr_decay;
-  guard_config.max_recoveries = config_.guard_max_recoveries;
+  const train::GuardConfig guard_config;
   train::TrainingGuard guard(guard_config, params_all);
   constexpr int kDiscStream = 0;
   constexpr int kGenStream = 1;
@@ -704,13 +691,6 @@ TrainStats Cpgan::Train(const std::vector<graph::Graph>& graphs) {
            final_epoch)) {
         run_logger.LogMetricsSnapshot(epoch);
       }
-    }
-    if (guard.exhausted()) {
-      CPGAN_LOG(Error) << "guard: " << guard.recoveries()
-                       << " recoveries reached the configured maximum; "
-                          "stopping with last-known-good weights";
-      stats.guard_exhausted = true;
-      break;
     }
     if (fault_plan_.StopAfter(epoch)) {
       // Simulated crash: leave the model untrained, like a killed process.

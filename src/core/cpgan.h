@@ -46,8 +46,8 @@ struct TrainStats {
   /// Checkpoints successfully written during this run.
   int checkpoints_written = 0;
 
-  /// True when training stopped early because guard_max_recoveries was
-  /// reached; the model keeps its last-known-good weights.
+  /// Never set by Cpgan: the guard has no recovery cap. Kept only because
+  /// perfbench reads it.
   bool guard_exhausted = false;
 
   /// True when a fault-plan simulated crash stopped the run (tests only).

@@ -9,7 +9,7 @@
 
 namespace cpgan::train {
 
-/// Knobs for the numeric training guard (surfaced on core::CpganConfig).
+/// Knobs for the numeric training guard (Cpgan trains with the defaults).
 struct GuardConfig {
   /// Master switch; a disabled guard approves every step and never snapshots.
   bool enabled = true;
@@ -26,11 +26,6 @@ struct GuardConfig {
   /// each recovery (1 = keep the rate). The guard itself does not own the
   /// optimizers; Cpgan reads this knob.
   float lr_decay_on_recovery = 0.5f;
-
-  /// Abort-training threshold: after this many recoveries the guard reports
-  /// exhausted() and the caller should stop instead of thrashing. 0 =
-  /// unlimited.
-  int max_recoveries = 0;
 };
 
 /// Why a step was rejected.
@@ -82,12 +77,6 @@ class TrainingGuard {
   bool Recover();
 
   int recoveries() const { return recoveries_; }
-
-  /// True once max_recoveries (if set) has been reached.
-  bool exhausted() const {
-    return config_.max_recoveries > 0 &&
-           recoveries_ >= config_.max_recoveries;
-  }
 
   bool has_snapshot() const { return has_snapshot_; }
 

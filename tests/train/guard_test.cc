@@ -100,19 +100,6 @@ TEST(GuardTest, RecoverWithoutSnapshotLeavesParamsAlone) {
   EXPECT_FLOAT_EQ(params[0].value().At(0, 0), 3.0f);
 }
 
-TEST(GuardTest, ExhaustedAfterMaxRecoveries) {
-  GuardConfig config;
-  config.max_recoveries = 2;
-  auto params = MakeParams(1, 1.0f);
-  TrainingGuard guard(config, params);
-  guard.CommitGood(1.0f);
-  EXPECT_FALSE(guard.exhausted());
-  guard.Recover();
-  EXPECT_FALSE(guard.exhausted());
-  guard.Recover();
-  EXPECT_TRUE(guard.exhausted());
-}
-
 TEST(GuardTest, DisabledGuardApprovesEverything) {
   GuardConfig config;
   config.enabled = false;

@@ -7,6 +7,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "community/louvain.h"
 #include "core/assembly.h"
 #include "core/hier_assembly.h"
 #include "core/losses.h"
@@ -16,6 +17,7 @@
 #include "obs/run_logger.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
+#include "tensor/optimizer.h"
 #include "tensor/serialize.h"
 #include "train/checkpoint.h"
 #include "train/guard.h"
@@ -73,12 +75,6 @@ std::vector<int> ArgmaxRows(const t::Matrix& m) {
   return out;
 }
 
-t::Matrix BinaryTargets(float value) {
-  t::Matrix m(1, 1);
-  m.At(0, 0) = value;
-  return m;
-}
-
 /// The parameters of `modules`, module by module in list order.
 std::vector<t::Tensor> ModuleParameters(
     std::initializer_list<const nn::Module*> modules) {
@@ -119,7 +115,104 @@ class TraceFlagsGuard {
   bool events_;
 };
 
+/// The guard's loss streams. The steps' losses differ in magnitude, so each
+/// has its own explosion window.
+constexpr int kDiscStream = 0;
+constexpr int kGenStream = 1;
+
+/// Cpgan trains with the guard's defaults.
+constexpr train::GuardConfig kGuardConfig{};
+
+/// The encoder's normalized adjacency of `g` (Section III-C1).
+std::shared_ptr<t::SparseMatrix> EncoderAdjacency(const graph::Graph& g,
+                                                  bool two_hop) {
+  return std::make_shared<t::SparseMatrix>(
+      two_hop ? t::TwoHopNormalizedAdjacency(g.num_nodes(), g.Edges())
+              : t::NormalizedAdjacency(g.num_nodes(), g.Edges()));
+}
+
 }  // namespace
+
+/// The state of one Train call: the parameter groups and their optimizers,
+/// the step guard over all of them, the checkpoint writer, the run log, and
+/// what each epoch's record reads. Train owns the only instance.
+struct Cpgan::TrainState {
+  /// Optimizer and guard setup. A checkpoint armed by ResumeFrom is loaded
+  /// here, and the learning rates catch up to its epoch.
+  explicit TrainState(Cpgan& m);
+
+  /// The update both steps end with (docs/INTERNALS.md, "Step guard"):
+  /// backward, the guard's verdict, then the step or a rollback, then every
+  /// gradient cleared. Returns the loss the guard judged.
+  float GuardedUpdate(const t::Tensor& loss, int stream, int epoch);
+
+  /// Writes the checkpoint of `completed_epochs`, retrying transient I/O
+  /// failures with backoff, and records the write for the run log.
+  void WriteCheckpoint(int completed_epochs);
+
+  /// The learning-rate schedule (paper: x0.3 every 400 epochs).
+  void DecayOnSchedule(int epoch) {
+    if (config.lr_decay_every > 0 &&
+        (epoch + 1) % config.lr_decay_every == 0) {
+      DecayLearningRates(config.lr_decay);
+    }
+  }
+  void DecayLearningRates(float factor) {
+    opt_d.DecayLearningRate(factor);
+    opt_g.DecayLearningRate(factor);
+    opt_g_fast.DecayLearningRate(factor);
+  }
+
+  const CpganConfig& config;
+  const train::FaultPlan& fault_plan;
+  TrainStats stats;
+  /// The discriminator step's parameters, and the generator step's in two
+  /// groups: a slow (adversarially sensitive) one and a fast
+  /// (reconstruction and memorization) one, the decoder and every feature
+  /// table, at fast_lr_multiplier times the rate.
+  std::vector<t::Tensor> params_d, params_g_slow, params_g_fast;
+  std::vector<t::Tensor> params_g;  // slow, then fast
+  /// What the guard snapshots and restores, and what checkpoints persist.
+  std::vector<t::Tensor> params_all;
+  t::Adam opt_d, opt_g, opt_g_fast;
+  train::TrainingGuard guard;
+  const uint64_t arch_hash;
+  bool checkpointing;
+  /// Checkpoint writes retry with backoff. The jitter RNG is a separate
+  /// stream from the training RNG, so transient I/O can never perturb the
+  /// numerics.
+  util::Rng io_rng;
+  util::BackoffPolicy io_backoff;
+  obs::RunLogger run_logger;
+  const t::Matrix real_target{1, 1, 1.0f};
+  const t::Matrix fake_target{1, 1, 0.0f};
+
+  /// What the epoch's run-log record reads; Train resets it every epoch.
+  struct EpochCounters {
+    int trips = 0, rollbacks = 0;
+    int64_t enc_peak = 0, dec_peak = 0, disc_peak = 0;
+    double grad_norm = 0.0;
+    bool wrote_checkpoint = false;
+    double checkpoint_ms = 0.0;
+  } counters;
+};
+
+/// One epoch's batch: the degree-proportional node sample of one training
+/// graph (Section III-E) and what both steps read of it.
+struct Cpgan::Batch {
+  int graph_index = 0;  // into contexts_
+  std::vector<int> idx;
+  int k = 0;  // idx.size()
+  std::shared_ptr<t::SparseMatrix> a_hat;
+  t::Tensor x;          // the sampled rows of the graph's feature table
+  t::Matrix a_dense;    // 0/1 adjacency: the reconstruction target
+  float pos_weight = 1.0f;
+  /// Coreset batches: the nodes' importance weights (empty = unweighted)
+  /// and the normalizers of the weighted node and pair terms.
+  std::vector<float> weights;
+  float node_inv_norm = 0.0f;
+  float pair_inv_norm = 0.0f;
+};
 
 Cpgan::Cpgan(const CpganConfig& config) : config_(config), rng_(config.seed) {
   CPGAN_CHECK_GE(config_.num_levels, 1);
@@ -145,47 +238,29 @@ TrainStats Cpgan::Fit(const graph::Graph& observed) {
   return FitMany({observed});
 }
 
-void Cpgan::BuildModel(const std::vector<graph::Graph>& graphs) {
-  const graph::Graph& observed = graphs[0];
-  observed_ = std::make_unique<graph::Graph>(observed);
-  int n = observed.num_nodes();
-  int ns = std::min(config_.subgraph_size, n);
+void Cpgan::BuildModel() {
+  int ns = std::min(config_.subgraph_size, contexts_[0].graph.num_nodes());
   CPGAN_CHECK_GE(ns, 2);
-
-  features_ = t::Tensor(
-      graph::SpectralEmbedding(observed, config_.feature_dim, rng_),
-      /*requires_grad=*/true);
-  louvain_ = community::Louvain(observed, rng_);
-
   std::vector<int> pool_sizes = ResolvePoolSizes(ns);
   effective_levels_ = static_cast<int>(pool_sizes.size()) + 1;
 
-  // Per-pooling-step community targets from the Louvain hierarchy: step l is
-  // constrained by a Louvain level of matching granularity (DESIGN.md §2.5).
-  int louvain_levels = static_cast<int>(louvain_.levels.size());
-  targets_by_level_.clear();
-  for (size_t l = 0; l < pool_sizes.size(); ++l) {
-    int lv = std::min(static_cast<int>(l), louvain_levels - 1);
-    targets_by_level_.push_back(
-        RemapLabels(louvain_.levels[lv].labels(), pool_sizes[l]));
-  }
-
-  // Secondary training graphs: own features + community targets each.
-  extra_contexts_.clear();
-  for (size_t gi = 1; gi < graphs.size(); ++gi) {
-    TrainContext ctx;
-    ctx.graph = graphs[gi];
+  for (TrainContext& ctx : contexts_) {
     ctx.features = t::Tensor(
         graph::SpectralEmbedding(ctx.graph, config_.feature_dim, rng_),
         /*requires_grad=*/true);
-    community::LouvainResult lv = community::Louvain(ctx.graph, rng_);
-    int lv_levels = static_cast<int>(lv.levels.size());
+    community::LouvainResult louvain = community::Louvain(ctx.graph, rng_);
+    // Per-pooling-step community targets from the Louvain hierarchy: step l
+    // is constrained by a Louvain level of matching granularity (DESIGN.md
+    // §2.5).
+    int louvain_levels = static_cast<int>(louvain.levels.size());
     for (size_t l = 0; l < pool_sizes.size(); ++l) {
-      int which = std::min(static_cast<int>(l), lv_levels - 1);
+      int lv = std::min(static_cast<int>(l), louvain_levels - 1);
       ctx.targets.push_back(
-          RemapLabels(lv.levels[which].labels(), pool_sizes[l]));
+          RemapLabels(louvain.levels[lv].labels(), pool_sizes[l]));
     }
-    extra_contexts_.push_back(std::move(ctx));
+    if (&ctx == &contexts_[0]) {
+      louvain_labels_ = louvain.FinalPartition().labels();
+    }
   }
 
   encoder_ = std::make_unique<LadderEncoder>(config_.feature_dim,
@@ -204,17 +279,16 @@ void Cpgan::BuildModel(const std::vector<graph::Graph>& graphs) {
 std::vector<t::Tensor> Cpgan::CollectAllParams() const {
   std::vector<t::Tensor> params = ModuleParameters(
       {encoder_.get(), vae_.get(), decoder_.get(), discriminator_.get()});
-  params.push_back(features_);
-  for (const TrainContext& ctx : extra_contexts_) {
-    params.push_back(ctx.features);
-  }
+  for (const TrainContext& ctx : contexts_) params.push_back(ctx.features);
   return params;
 }
 
 bool Cpgan::WarmStart(const graph::Graph& observed,
                       const std::string& checkpoint_path, std::string* error) {
   CPGAN_CHECK(!trained_);
-  BuildModel({observed});
+  contexts_.clear();
+  contexts_.emplace_back().graph = observed;
+  BuildModel();
   std::vector<t::Tensor> params_all = CollectAllParams();
   train::CheckpointMeta meta;
   std::string err;
@@ -229,15 +303,15 @@ bool Cpgan::WarmStart(const graph::Graph& observed,
   return true;
 }
 
-TrainStats Cpgan::FitMany(const std::vector<graph::Graph>& graphs) {
-  TrainStats stats = Train(graphs);
+TrainStats Cpgan::FitMany(std::vector<graph::Graph> graphs) {
+  TrainStats stats = Train(std::move(graphs));
   // Encoded only now that Train has released its optimizers, guard and
   // epoch state: the pass must not raise the training peak.
   if (trained_) EncodeObserved();
   return stats;
 }
 
-TrainStats Cpgan::Train(const std::vector<graph::Graph>& graphs) {
+TrainStats Cpgan::Train(std::vector<graph::Graph> graphs) {
   CPGAN_CHECK(!graphs.empty());
   CPGAN_CHECK(!trained_);
   util::Timer timer;
@@ -245,38 +319,9 @@ TrainStats Cpgan::Train(const std::vector<graph::Graph>& graphs) {
   if (config_.mem_budget_mb > 0) {
     util::MemoryTracker::Global().SetBudgetBytes(config_.mem_budget_mb << 20);
   }
-
-  // Coreset training (docs/INTERNALS.md, "Streaming ingest"): swap the
-  // primary graph for the induced subgraph of a sensitivity sample before
-  // anything downstream (spectral features, Louvain, the epoch loop) sees
-  // it, so every per-node cost scales with the coreset, not the full graph.
-  // Secondary graphs are left alone — they are small by construction.
-  std::vector<graph::Graph> coreset_graphs;
-  const std::vector<graph::Graph>* training = &graphs;
-  int coreset_nodes = 0;
-  if (config_.coreset_size > 1 &&
-      config_.coreset_size < graphs[0].num_nodes()) {
-    CPGAN_TRACE_SPAN("train/coreset_sample");
-    CoresetSample coreset =
-        SensitivityCoresetSample(graphs[0], config_.coreset_size, rng_);
-    coreset_nodes = static_cast<int>(coreset.size());
-    coreset_graphs.reserve(graphs.size());
-    coreset_graphs.push_back(graphs[0].InducedSubgraph(coreset.nodes));
-    coreset_graphs.insert(coreset_graphs.end(), graphs.begin() + 1,
-                          graphs.end());
-    training = &coreset_graphs;
-    // Keep the Horvitz-Thompson importance weights, aligned with the
-    // relabeled coreset node ids (InducedSubgraph preserves coreset.nodes
-    // order), so the per-node loss terms can debias the coreset estimator.
-    coreset_weights_.assign(coreset.weights.begin(), coreset.weights.end());
-    coreset_full_nodes_ = graphs[0].num_nodes();
-    CPGAN_LOG(Info) << "coreset training: " << coreset_nodes << " of "
-                    << graphs[0].num_nodes() << " nodes ("
-                    << coreset_graphs[0].num_edges() << " of "
-                    << graphs[0].num_edges()
-                    << " edges), importance-weighted losses";
-  }
-  const graph::Graph& observed = (*training)[0];
+  contexts_.clear();
+  for (graph::Graph& g : graphs) contexts_.emplace_back().graph = std::move(g);
+  SampleCoreset();
 
   // ----- Observability setup (src/obs/; docs/OBSERVABILITY.md) -----
   TraceFlagsGuard trace_flags_guard;
@@ -288,366 +333,33 @@ TrainStats Cpgan::Train(const std::vector<graph::Graph>& graphs) {
     obs::SetTracingEnabled(true);
     if (!config_.trace_out.empty()) obs::SetTraceEventsEnabled(true);
   }
-  obs::RunLogger run_logger;
-  if (!config_.metrics_out.empty()) run_logger.Open(config_.metrics_out);
   const int run_threads = util::ThreadPool::Global().num_threads();
 
-  BuildModel(*training);
-  int ns = std::min(config_.subgraph_size, observed.num_nodes());
-
-  std::vector<t::Tensor> params_d =
-      ModuleParameters({discriminator_.get(), encoder_.get()});
-  // Generator parameters split into a slow (adversarially sensitive) group
-  // and a fast (reconstruction/memorization) group.
-  std::vector<t::Tensor> params_g_slow =
-      ModuleParameters({encoder_.get(), vae_.get()});
-  std::vector<t::Tensor> params_g_fast = decoder_->Parameters();
-  params_g_fast.push_back(features_);
-  for (TrainContext& ctx : extra_contexts_) {
-    params_g_fast.push_back(ctx.features);
-  }
-  std::vector<t::Tensor> params_g = params_g_slow;
-  params_g.insert(params_g.end(), params_g_fast.begin(), params_g_fast.end());
-  t::Adam opt_d(params_d, config_.learning_rate);
-  t::Adam opt_g(params_g_slow, config_.learning_rate);
-  t::Adam opt_g_fast(params_g_fast,
-                     config_.learning_rate * config_.fast_lr_multiplier);
-
-  // ----- Fault-tolerance runtime (docs/INTERNALS.md) -----
-  // The guard snapshots/restores the union of every trainable parameter;
-  // the same list is what checkpoints persist.
-  std::vector<t::Tensor> params_all = CollectAllParams();
-
-  const train::GuardConfig guard_config;
-  train::TrainingGuard guard(guard_config, params_all);
-  constexpr int kDiscStream = 0;
-  constexpr int kGenStream = 1;
-  auto decay_all = [&](float factor) {
-    opt_d.DecayLearningRate(factor);
-    opt_g.DecayLearningRate(factor);
-    opt_g_fast.DecayLearningRate(factor);
-  };
-
-  const uint64_t arch_hash = ArchitectureHash();
-  TrainStats stats;
-  stats.coreset_nodes = coreset_nodes;
-  int start_epoch = 0;
-  if (!resume_from_.empty()) {
-    train::CheckpointMeta meta;
-    std::string err;
-    // The file's checksums were vetted in ResumeFrom; this re-parse also
-    // validates shape/count against the freshly built model, so resuming
-    // into a different architecture or graph fails before any training.
-    CPGAN_CHECK_MSG(train::LoadCheckpoint(resume_from_, &meta, params_all,
-                                          arch_hash, &err),
-                    ("resume failed: " + err).c_str());
-    start_epoch = std::min(meta.epoch, config_.epochs);
-    stats.start_epoch = start_epoch;
-    // Catch the learning-rate schedule up to the resumed epoch.
-    if (config_.lr_decay_every > 0) {
-      for (int e = 0; e < start_epoch; ++e) {
-        if ((e + 1) % config_.lr_decay_every == 0) decay_all(config_.lr_decay);
-      }
-    }
-    CPGAN_LOG(Info) << "resumed from " << resume_from_ << " at epoch "
-                    << start_epoch;
-    resume_from_.clear();
-  }
-  bool checkpointing =
-      !config_.checkpoint_dir.empty() && config_.checkpoint_every > 0;
-  if (checkpointing && !util::MakeDirs(config_.checkpoint_dir)) {
-    CPGAN_LOG(Warning) << "cannot create checkpoint dir '"
-                       << config_.checkpoint_dir << "'; checkpoints disabled";
-    checkpointing = false;
-  }
-  // Checkpoint writes go through retry-with-backoff so a single flaky
-  // rename/fsync cannot lose the run. The jitter RNG is a separate stream
-  // from the training RNG so transient I/O can never perturb the numerics.
-  util::Rng io_rng(config_.seed ^ 0xC3A5C85C97CB3127ULL);
-  util::BackoffPolicy io_backoff;
-  auto write_checkpoint = [&](int completed_epochs) -> bool {
-    train::CheckpointMeta meta;
-    meta.epoch = completed_epochs;
-    meta.config_hash = arch_hash;
-    std::string path =
-        train::CheckpointPath(config_.checkpoint_dir, completed_epochs);
-    util::RetryResult retried = util::RetryWithBackoff(
-        io_backoff, io_rng,
-        [&] { return train::SaveCheckpoint(path, meta, params_all); });
-    stats.checkpoint_retries += retried.retries();
-    if (retried.ok) {
-      ++stats.checkpoints_written;
-      if (retried.retries() > 0) {
-        CPGAN_LOG(Warning) << "checkpoint " << path << " written after "
-                           << retried.retries() << " transient I/O retries";
-      }
-    } else {
-      CPGAN_LOG(Warning) << "failed to write checkpoint " << path << " after "
-                         << retried.attempts << " attempts";
-    }
-    return retried.ok;
-  };
-  // Per-epoch guard telemetry for the structured run log.
-  int epoch_trips = 0;
-  int epoch_rollbacks = 0;
-  // Handles a step rejected by the guard: skip the optimizer, roll the
-  // parameters back to the last-known-good snapshot, and back the learning
-  // rate off. The epoch continues with restored weights.
-  auto recover = [&](const char* which, int epoch, train::StepVerdict verdict,
-                     float loss) {
-    guard.Recover();
-    decay_all(guard_config.lr_decay_on_recovery);
-    ++stats.recoveries;
-    ++epoch_trips;
-    if (guard.has_snapshot()) ++epoch_rollbacks;
-    CPGAN_LOG(Warning) << "guard: " << which << " step rejected at epoch "
-                       << epoch << " (" << train::StepVerdictName(verdict)
-                       << ", loss=" << loss << "); "
-                       << (guard.has_snapshot()
-                               ? "rolled back to last good parameters"
-                               : "no snapshot yet, step skipped");
-  };
-
-  auto zero_all = [this]() {
-    encoder_->ZeroGrad();
-    vae_->ZeroGrad();
-    decoder_->ZeroGrad();
-    discriminator_->ZeroGrad();
-    features_.ZeroGrad();
-    for (TrainContext& ctx : extra_contexts_) ctx.features.ZeroGrad();
-  };
-
-  t::Matrix real_target = BinaryTargets(1.0f);
-  t::Matrix fake_target = BinaryTargets(0.0f);
-
-  bool killed = false;
-  for (int epoch = start_epoch; epoch < config_.epochs; ++epoch) {
+  BuildModel();
+  TrainState s(*this);
+  for (int epoch = s.stats.start_epoch; epoch < config_.epochs; ++epoch) {
     CPGAN_TRACE_SPAN("train/epoch");
     util::Timer epoch_timer;
-    epoch_trips = 0;
-    epoch_rollbacks = 0;
-    int64_t enc_peak = 0, dec_peak = 0, disc_peak = 0;
-    double epoch_grad_norm = 0.0;
-    bool wrote_checkpoint = false;
-    double checkpoint_ms = 0.0;
-
-    // Uniformly pick a training graph (multi-graph fitting).
-    int which = static_cast<int>(
-        rng_.UniformInt(1 + static_cast<int64_t>(extra_contexts_.size())));
-    const graph::Graph& current =
-        which == 0 ? observed : extra_contexts_[which - 1].graph;
-    t::Tensor& current_features =
-        which == 0 ? features_ : extra_contexts_[which - 1].features;
-    const std::vector<std::vector<int>>& current_targets =
-        which == 0 ? targets_by_level_ : extra_contexts_[which - 1].targets;
-
-    int ns_cur = std::min(ns, current.num_nodes());
-    std::vector<int> idx;
-    graph::Graph sub{0};
-    std::shared_ptr<t::SparseMatrix> a_hat;
-    t::Tensor x_s;
-    t::Matrix a_dense;
-    float pos_weight = 1.0f;
-    int k = 0;
-    {
-      CPGAN_TRACE_SPAN("train/sample");
-      idx = DegreeProportionalSample(current, ns_cur, rng_);
-      sub = current.InducedSubgraph(idx);
-      a_hat = std::make_shared<t::SparseMatrix>(
-          config_.use_two_hop_adjacency
-              ? t::TwoHopNormalizedAdjacency(sub.num_nodes(), sub.Edges())
-              : t::NormalizedAdjacency(sub.num_nodes(), sub.Edges()));
-      x_s = t::GatherRows(current_features, idx);
-
-      // Dense 0/1 adjacency target for the reconstruction likelihood.
-      k = sub.num_nodes();
-      a_dense = t::Matrix(k, k);
-      for (const auto& [u, v] : sub.Edges()) {
-        a_dense.At(u, v) = 1.0f;
-        a_dense.At(v, u) = 1.0f;
-      }
-      double m_s = static_cast<double>(sub.num_edges());
-      pos_weight = static_cast<float>(std::clamp(
-          (static_cast<double>(k) * k - 2.0 * m_s) / std::max(1.0, 2.0 * m_s),
-          1.0, 8.0));
-    }
-
-    // Coreset importance weights for this batch (primary graph only; empty
-    // = unweighted). The normalizers are the full graph's node count scaled
-    // by the batch's fraction of the coreset, so with unit weights they
-    // reduce to the plain 1/k and 1/k^2 means.
-    std::vector<float> batch_weights;
-    float node_inv_norm = 0.0f;
-    float pair_inv_norm = 0.0f;
-    if (which == 0 && !coreset_weights_.empty()) {
-      batch_weights.resize(idx.size());
-      for (size_t i = 0; i < idx.size(); ++i) {
-        batch_weights[i] = coreset_weights_[idx[i]];
-      }
-      const double denom = static_cast<double>(coreset_full_nodes_) *
-                           static_cast<double>(k) / current.num_nodes();
-      node_inv_norm = static_cast<float>(1.0 / denom);
-      pair_inv_norm = static_cast<float>(1.0 / (denom * denom));
-    }
-
-    auto sample_prior = [&]() {
-      std::vector<t::Tensor> z;
-      for (int l = 0; l < effective_levels_; ++l) {
-        t::Matrix noise(k, config_.latent_dim);
-        noise.FillNormal(rng_, 1.0f);
-        z.push_back(t::Constant(std::move(noise)));
-      }
-      return z;
-    };
-
-    bool disc_epoch =
+    s.counters = {};
+    const Batch batch = SampleBatch();
+    const bool disc_epoch =
         config_.disc_every > 0 && epoch % config_.disc_every == 0;
-    bool prior_epoch =
+    const bool prior_epoch =
         config_.prior_every > 0 && epoch % config_.prior_every == 0;
+    if (disc_epoch) DiscriminatorStep(s, batch, prior_epoch, epoch);
+    GeneratorStep(s, batch, prior_epoch, epoch);
+    s.DecayOnSchedule(epoch);
 
-    // ----- Discriminator step (eq. 16/17) -----
-    if (disc_epoch) {
-      CPGAN_TRACE_SPAN("train/disc_step");
-      EncoderOutput enc_real = encoder_->Forward(a_hat, x_s);
-      t::Tensor d_real = discriminator_->ForwardLogit(enc_real.readout);
-      t::Tensor l_clus = ClusteringLoss(enc_real.assignments, idx,
-                                        current_targets, batch_weights,
-                                        node_inv_norm);
-
-      VariationalOutput vae_out =
-          vae_->Forward(enc_real.z_rec, rng_, config_.use_variational);
-      t::Tensor h = decoder_->DecodeNodes(vae_out.z_vae);
-      t::Tensor probs_rec =
-          t::Sigmoid(decoder_->EdgeLogits(h)).Detach();
-      t::Tensor d_fake = discriminator_->ForwardLogit(
-          encoder_->ForwardDense(probs_rec, x_s).readout);
-      t::Tensor fake_losses = t::BceWithLogits(d_fake, fake_target);
-      if (prior_epoch) {
-        t::Tensor h_prior = decoder_->DecodeNodes(sample_prior());
-        t::Tensor probs_prior =
-            t::Sigmoid(decoder_->EdgeLogits(h_prior)).Detach();
-        t::Tensor d_prior = discriminator_->ForwardLogit(
-            encoder_->ForwardDense(probs_prior, x_s).readout);
-        fake_losses = t::Scale(
-            t::Add(fake_losses, t::BceWithLogits(d_prior, fake_target)), 0.5f);
-      }
-      t::Tensor loss_d =
-          t::Add(t::Add(t::BceWithLogits(d_real, real_target), fake_losses),
-                 t::Scale(l_clus, config_.clus_weight));
-      {
-        CPGAN_TRACE_SPAN("train/backward");
-        t::Backward(loss_d);
-      }
-      float d_loss_value = loss_d.Scalar();
-      train::StepVerdict verdict =
-          guard.Inspect(d_loss_value, params_d, kDiscStream);
-      if (verdict == train::StepVerdict::kOk) {
-        CPGAN_TRACE_SPAN("train/optimizer");
-        t::ClipGradients(params_d, kGradClip);
-        opt_d.Step();
-        guard.CommitGood(d_loss_value, kDiscStream);
-      } else {
-        recover("discriminator", epoch, verdict, d_loss_value);
-      }
-      zero_all();
-      stats.d_loss.push_back(d_loss_value);
-      stats.clus_loss.push_back(l_clus.Scalar());
-    }
-
-    // ----- Generator step (eq. 18/19 merged; see DESIGN.md) -----
-    {
-      CPGAN_TRACE_SPAN("train/gen_step");
-      // Each forward phase runs inside a MemoryRegion so its peak live
-      // bytes are attributable in the run log (Table IX's analogue).
-      EncoderOutput enc;
-      VariationalOutput vae_out;
-      {
-        util::MemoryRegion region;
-        enc = encoder_->Forward(a_hat, x_s);
-        vae_out = vae_->Forward(enc.z_rec, rng_, config_.use_variational);
-        enc_peak = region.PeakBytes();
-      }
-      t::Tensor h, logits, probs;
-      {
-        util::MemoryRegion region;
-        h = decoder_->DecodeNodes(vae_out.z_vae);
-        logits = decoder_->EdgeLogits(h);
-        probs = t::Sigmoid(logits);
-        dec_peak = region.PeakBytes();
-      }
-
-      EncoderOutput enc_fake;
-      t::Tensor adv;
-      {
-        util::MemoryRegion region;
-        enc_fake = encoder_->ForwardDense(probs, x_s);
-        adv = t::BceWithLogits(
-            discriminator_->ForwardLogit(enc_fake.readout), real_target);
-        if (prior_epoch) {
-          t::Tensor h_prior = decoder_->DecodeNodes(sample_prior());
-          t::Tensor probs_prior = t::Sigmoid(decoder_->EdgeLogits(h_prior));
-          EncoderOutput enc_prior = encoder_->ForwardDense(probs_prior, x_s);
-          t::Tensor adv_prior = t::BceWithLogits(
-              discriminator_->ForwardLogit(enc_prior.readout), real_target);
-          adv = t::Scale(t::Add(adv, adv_prior), 0.5f);
-        }
-        disc_peak = region.PeakBytes();
-      }
-
-      t::Tensor l_rec = t::MseLoss(enc.readout, enc_fake.readout);
-      // Coreset batches debias the reconstruction likelihood with the pair
-      // weights w_i * w_j; the unweighted path is bitwise-unchanged.
-      t::Tensor l_bce =
-          batch_weights.empty()
-              ? t::BceWithLogits(logits, a_dense, pos_weight)
-              : WeightedBceWithLogits(logits, a_dense, batch_weights,
-                                      pos_weight, pair_inv_norm);
-
-      t::Tensor loss_g = t::Add(
-          t::Add(t::Scale(adv, kAdvWeight), t::Scale(l_rec, kRecWeight)),
-          t::Add(t::Scale(vae_out.kl, kKlWeight),
-                 t::Scale(l_bce, config_.bce_weight)));
-      {
-        CPGAN_TRACE_SPAN("train/backward");
-        t::Backward(loss_g);
-      }
-      if (run_logger.ok()) epoch_grad_norm = GradNorm(params_g);
-      float g_loss_value = loss_g.Scalar();
-      // Deterministic fault injection (tests only; a default plan is inert).
-      if (fault_plan_.InjectNanGrad(epoch)) {
-        train::PoisonGradient(params_g, fault_plan_.nan_grad_param);
-      }
-      if (fault_plan_.InjectInfLoss(epoch)) {
-        g_loss_value = std::numeric_limits<float>::infinity();
-      }
-      train::StepVerdict verdict =
-          guard.Inspect(g_loss_value, params_g, kGenStream);
-      if (verdict == train::StepVerdict::kOk) {
-        CPGAN_TRACE_SPAN("train/optimizer");
-        t::ClipGradients(params_g, kGradClip);
-        opt_g.Step();
-        opt_g_fast.Step();
-        guard.CommitGood(g_loss_value, kGenStream);
-      } else {
-        recover("generator", epoch, verdict, g_loss_value);
-      }
-      zero_all();
-      stats.g_loss.push_back(g_loss_value);
-    }
-
-    if (config_.lr_decay_every > 0 && (epoch + 1) % config_.lr_decay_every == 0) {
-      decay_all(config_.lr_decay);
-    }
     if (config_.verbose && (epoch % 20 == 0 || epoch + 1 == config_.epochs)) {
       // Discriminator losses exist only on epochs that ran that step.
       if (disc_epoch) {
         CPGAN_LOG(Info) << "epoch " << epoch
-                        << " d_loss=" << stats.d_loss.back()
-                        << " g_loss=" << stats.g_loss.back()
-                        << " clus=" << stats.clus_loss.back();
+                        << " d_loss=" << s.stats.d_loss.back()
+                        << " g_loss=" << s.stats.g_loss.back()
+                        << " clus=" << s.stats.clus_loss.back();
       } else {
         CPGAN_LOG(Info) << "epoch " << epoch
-                        << " g_loss=" << stats.g_loss.back();
+                        << " g_loss=" << s.stats.g_loss.back();
       }
     }
 
@@ -656,46 +368,43 @@ TrainStats Cpgan::Train(const std::vector<graph::Graph>& graphs) {
     if (fault_plan_.InjectIoFailure(epoch)) {
       util::InjectAtomicWriteFailures(fault_plan_.io_fail_count);
     }
-    bool final_epoch = epoch + 1 == config_.epochs;
-    if (checkpointing &&
+    const bool final_epoch = epoch + 1 == config_.epochs;
+    if (s.checkpointing &&
         ((epoch + 1) % config_.checkpoint_every == 0 || final_epoch)) {
-      util::Timer checkpoint_timer;
-      wrote_checkpoint = write_checkpoint(epoch + 1);
-      checkpoint_ms = checkpoint_timer.Millis();
+      s.WriteCheckpoint(epoch + 1);
     }
 
-    if (run_logger.ok()) {
+    if (s.run_logger.ok()) {
       obs::EpochRecord record;
       record.epoch = epoch;
-      record.graph_index = which;
+      record.graph_index = batch.graph_index;
       record.has_d_loss = disc_epoch;
-      if (disc_epoch) record.d_loss = stats.d_loss.back();
-      record.g_loss = stats.g_loss.back();
+      if (disc_epoch) record.d_loss = s.stats.d_loss.back();
+      record.g_loss = s.stats.g_loss.back();
       record.has_clus_loss = disc_epoch;
-      if (disc_epoch) record.clus_loss = stats.clus_loss.back();
-      record.grad_norm = epoch_grad_norm;
-      record.guard_trips = epoch_trips;
-      record.rollbacks = epoch_rollbacks;
-      record.wrote_checkpoint = wrote_checkpoint;
-      record.checkpoint_ms = checkpoint_ms;
+      if (disc_epoch) record.clus_loss = s.stats.clus_loss.back();
+      record.grad_norm = s.counters.grad_norm;
+      record.guard_trips = s.counters.trips;
+      record.rollbacks = s.counters.rollbacks;
+      record.wrote_checkpoint = s.counters.wrote_checkpoint;
+      record.checkpoint_ms = s.counters.checkpoint_ms;
       record.peak_bytes = util::MemoryTracker::Global().peak_bytes();
-      record.encoder_peak_bytes = enc_peak;
-      record.decoder_peak_bytes = dec_peak;
-      record.discriminator_peak_bytes = disc_peak;
+      record.encoder_peak_bytes = s.counters.enc_peak;
+      record.decoder_peak_bytes = s.counters.dec_peak;
+      record.discriminator_peak_bytes = s.counters.disc_peak;
       record.threads = run_threads;
       record.rss_bytes = obs::CurrentRssBytes();
       record.epoch_ms = epoch_timer.Millis();
-      if (run_logger.Log(record)) ++stats.metrics_records;
+      if (s.run_logger.Log(record)) ++s.stats.metrics_records;
       if (config_.metrics_snapshot_every > 0 &&
           ((epoch + 1) % config_.metrics_snapshot_every == 0 ||
            final_epoch)) {
-        run_logger.LogMetricsSnapshot(epoch);
+        s.run_logger.LogMetricsSnapshot(epoch);
       }
     }
     if (fault_plan_.StopAfter(epoch)) {
       // Simulated crash: leave the model untrained, like a killed process.
-      stats.stopped_by_fault = true;
-      killed = true;
+      s.stats.stopped_by_fault = true;
       break;
     }
     // Graceful SIGINT/SIGTERM shutdown (train/signal.h): finish the epoch,
@@ -704,28 +413,321 @@ TrainStats Cpgan::Train(const std::vector<graph::Graph>& graphs) {
     if (train::StopRequested()) {
       CPGAN_LOG(Info) << "stop requested; ending training after epoch "
                       << epoch;
-      if (checkpointing && !wrote_checkpoint) write_checkpoint(epoch + 1);
-      stats.interrupted = true;
+      if (s.checkpointing && !s.counters.wrote_checkpoint) {
+        s.WriteCheckpoint(epoch + 1);
+      }
+      s.stats.interrupted = true;
       break;
     }
   }
-  trained_ = !killed;
-  stats.train_seconds = timer.Seconds();
-  stats.peak_bytes = util::MemoryTracker::Global().peak_bytes();
+  trained_ = !s.stats.stopped_by_fault;
+  s.stats.train_seconds = timer.Seconds();
+  s.stats.peak_bytes = util::MemoryTracker::Global().peak_bytes();
   if (config_.mem_budget_mb > 0 &&
-      stats.peak_bytes > (config_.mem_budget_mb << 20)) {
-    stats.budget_exceeded = true;
-    CPGAN_LOG(Warning) << "memory budget exceeded: peak " << stats.peak_bytes
+      s.stats.peak_bytes > (config_.mem_budget_mb << 20)) {
+    s.stats.budget_exceeded = true;
+    CPGAN_LOG(Warning) << "memory budget exceeded: peak " << s.stats.peak_bytes
                        << " bytes > " << config_.mem_budget_mb << " MiB";
   }
-  run_logger.Close();
-  if (config_.profile) {
-    std::fputs(obs::RenderProfile().c_str(), stdout);
-  }
+  s.run_logger.Close();
+  if (config_.profile) std::fputs(obs::RenderProfile().c_str(), stdout);
   if (!config_.trace_out.empty() && !obs::WriteChromeTrace(config_.trace_out)) {
     CPGAN_LOG(Warning) << "failed to write trace " << config_.trace_out;
   }
-  return stats;
+  return std::move(s.stats);
+}
+
+void Cpgan::SampleCoreset() {
+  // Coreset training (docs/INTERNALS.md, "Streaming ingest"): swap the
+  // primary graph for the induced subgraph of a sensitivity sample before
+  // anything downstream (spectral features, Louvain, the epoch loop) sees
+  // it, so every per-node cost scales with the coreset, not the full graph.
+  // Secondary graphs are left alone — they are small by construction.
+  TrainContext& observed = contexts_[0];
+  const int n = observed.graph.num_nodes();
+  if (config_.coreset_size <= 1 || config_.coreset_size >= n) return;
+  CPGAN_TRACE_SPAN("train/coreset_sample");
+  CoresetSample coreset =
+      SensitivityCoresetSample(observed.graph, config_.coreset_size, rng_);
+  graph::Graph sub = observed.graph.InducedSubgraph(coreset.nodes);
+  CPGAN_LOG(Info) << "coreset training: " << coreset.size() << " of " << n
+                  << " nodes (" << sub.num_edges() << " of "
+                  << observed.graph.num_edges()
+                  << " edges), importance-weighted losses";
+  observed.graph = std::move(sub);
+  // The Horvitz-Thompson importance weights stay aligned with the relabeled
+  // coreset node ids (InducedSubgraph preserves coreset.nodes order), so
+  // the per-node loss terms can debias the coreset estimator.
+  observed.node_weights.assign(coreset.weights.begin(), coreset.weights.end());
+  observed.full_nodes = n;
+}
+
+Cpgan::TrainState::TrainState(Cpgan& m)
+    : config(m.config_),
+      fault_plan(m.fault_plan_),
+      params_d(ModuleParameters({m.discriminator_.get(), m.encoder_.get()})),
+      params_g_slow(ModuleParameters({m.encoder_.get(), m.vae_.get()})),
+      params_g_fast([&m] {
+        std::vector<t::Tensor> fast = m.decoder_->Parameters();
+        for (const TrainContext& ctx : m.contexts_) {
+          fast.push_back(ctx.features);
+        }
+        return fast;
+      }()),
+      params_g(params_g_slow),
+      params_all(m.CollectAllParams()),
+      opt_d(params_d, config.learning_rate),
+      opt_g(params_g_slow, config.learning_rate),
+      opt_g_fast(params_g_fast,
+                 config.learning_rate * config.fast_lr_multiplier),
+      guard(kGuardConfig, params_all),
+      arch_hash(m.ArchitectureHash()),
+      checkpointing(!config.checkpoint_dir.empty() &&
+                    config.checkpoint_every > 0),
+      io_rng(config.seed ^ 0xC3A5C85C97CB3127ULL) {
+  params_g.insert(params_g.end(), params_g_fast.begin(), params_g_fast.end());
+  stats.coreset_nodes = static_cast<int>(m.contexts_[0].node_weights.size());
+  if (!m.resume_from_.empty()) {
+    train::CheckpointMeta meta;
+    std::string err;
+    // The file's checksums were vetted in ResumeFrom; this re-parse also
+    // validates shape/count against the freshly built model, so resuming
+    // into a different architecture or graph fails before any training.
+    CPGAN_CHECK_MSG(train::LoadCheckpoint(m.resume_from_, &meta, params_all,
+                                          arch_hash, &err),
+                    ("resume failed: " + err).c_str());
+    stats.start_epoch = std::min(meta.epoch, config.epochs);
+    // Catch the learning-rate schedule up to the resumed epoch.
+    for (int e = 0; e < stats.start_epoch; ++e) DecayOnSchedule(e);
+    CPGAN_LOG(Info) << "resumed from " << m.resume_from_ << " at epoch "
+                    << stats.start_epoch;
+    m.resume_from_.clear();
+  }
+  if (checkpointing && !util::MakeDirs(config.checkpoint_dir)) {
+    CPGAN_LOG(Warning) << "cannot create checkpoint dir '"
+                       << config.checkpoint_dir << "'; checkpoints disabled";
+    checkpointing = false;
+  }
+  if (!config.metrics_out.empty()) run_logger.Open(config.metrics_out);
+}
+
+Cpgan::Batch Cpgan::SampleBatch() {
+  CPGAN_TRACE_SPAN("train/sample");
+  Batch b;
+  // Uniformly pick a training graph (multi-graph fitting); the draw is made
+  // even when there is only one.
+  b.graph_index = static_cast<int>(
+      rng_.UniformInt(static_cast<int64_t>(contexts_.size())));
+  const TrainContext& ctx = contexts_[b.graph_index];
+  const int ns = std::min({config_.subgraph_size,
+                           contexts_[0].graph.num_nodes(),
+                           ctx.graph.num_nodes()});
+  b.idx = DegreeProportionalSample(ctx.graph, ns, rng_);
+  const graph::Graph sub = ctx.graph.InducedSubgraph(b.idx);
+  b.a_hat = EncoderAdjacency(sub, config_.use_two_hop_adjacency);
+  b.x = t::GatherRows(ctx.features, b.idx);
+
+  // Dense 0/1 adjacency target for the reconstruction likelihood.
+  b.k = sub.num_nodes();
+  b.a_dense = t::Matrix(b.k, b.k);
+  for (const auto& [u, v] : sub.Edges()) {
+    b.a_dense.At(u, v) = 1.0f;
+    b.a_dense.At(v, u) = 1.0f;
+  }
+  double m_s = static_cast<double>(sub.num_edges());
+  b.pos_weight = static_cast<float>(std::clamp(
+      (static_cast<double>(b.k) * b.k - 2.0 * m_s) / std::max(1.0, 2.0 * m_s),
+      1.0, 8.0));
+
+  // Coreset importance weights for this batch. The normalizers are the full
+  // graph's node count scaled by the batch's fraction of the coreset, so
+  // with unit weights they reduce to the plain 1/k and 1/k^2 means.
+  if (!ctx.node_weights.empty()) {
+    b.weights.resize(b.idx.size());
+    for (size_t i = 0; i < b.idx.size(); ++i) {
+      b.weights[i] = ctx.node_weights[b.idx[i]];
+    }
+    const double denom = static_cast<double>(ctx.full_nodes) *
+                         static_cast<double>(b.k) / ctx.graph.num_nodes();
+    b.node_inv_norm = static_cast<float>(1.0 / denom);
+    b.pair_inv_norm = static_cast<float>(1.0 / (denom * denom));
+  }
+  return b;
+}
+
+std::vector<t::Tensor> Cpgan::SamplePrior(int k) {
+  std::vector<t::Tensor> z;
+  for (int l = 0; l < effective_levels_; ++l) {
+    t::Matrix noise(k, config_.latent_dim);
+    noise.FillNormal(rng_, 1.0f);
+    z.push_back(t::Constant(std::move(noise)));
+  }
+  return z;
+}
+
+t::Tensor Cpgan::FakeLogit(const std::vector<t::Tensor>& z, const t::Tensor& x,
+                           bool detach) const {
+  t::Tensor probs = t::Sigmoid(decoder_->EdgeLogits(decoder_->DecodeNodes(z)));
+  if (detach) probs = probs.Detach();
+  return discriminator_->ForwardLogit(encoder_->ForwardDense(probs, x).readout);
+}
+
+void Cpgan::DiscriminatorStep(TrainState& s, const Batch& b, bool prior_epoch,
+                              int epoch) {
+  CPGAN_TRACE_SPAN("train/disc_step");
+  EncoderOutput enc_real = encoder_->Forward(b.a_hat, b.x);
+  t::Tensor d_real = discriminator_->ForwardLogit(enc_real.readout);
+  t::Tensor l_clus =
+      ClusteringLoss(enc_real.assignments, b.idx,
+                     contexts_[b.graph_index].targets, b.weights,
+                     b.node_inv_norm);
+
+  // Fake graphs from the posterior path, and every prior_every epochs from
+  // the prior path too; their probabilities are detached.
+  VariationalOutput vae_out =
+      vae_->Forward(enc_real.z_rec, rng_, config_.use_variational);
+  t::Tensor fake_losses = t::BceWithLogits(
+      FakeLogit(vae_out.z_vae, b.x, /*detach=*/true), s.fake_target);
+  if (prior_epoch) {
+    t::Tensor d_prior = FakeLogit(SamplePrior(b.k), b.x, /*detach=*/true);
+    fake_losses = t::Scale(
+        t::Add(fake_losses, t::BceWithLogits(d_prior, s.fake_target)), 0.5f);
+  }
+  t::Tensor loss_d =
+      t::Add(t::Add(t::BceWithLogits(d_real, s.real_target), fake_losses),
+             t::Scale(l_clus, config_.clus_weight));
+  s.stats.d_loss.push_back(s.GuardedUpdate(loss_d, kDiscStream, epoch));
+  s.stats.clus_loss.push_back(l_clus.Scalar());
+}
+
+void Cpgan::GeneratorStep(TrainState& s, const Batch& b, bool prior_epoch,
+                          int epoch) {
+  CPGAN_TRACE_SPAN("train/gen_step");
+  // Each forward phase runs inside a MemoryRegion so its peak live bytes
+  // are attributable in the run log (Table IX's analogue).
+  EncoderOutput enc;
+  VariationalOutput vae_out;
+  {
+    util::MemoryRegion region;
+    enc = encoder_->Forward(b.a_hat, b.x);
+    vae_out = vae_->Forward(enc.z_rec, rng_, config_.use_variational);
+    s.counters.enc_peak = region.PeakBytes();
+  }
+  t::Tensor h, logits, probs;
+  {
+    util::MemoryRegion region;
+    h = decoder_->DecodeNodes(vae_out.z_vae);
+    logits = decoder_->EdgeLogits(h);
+    probs = t::Sigmoid(logits);
+    s.counters.dec_peak = region.PeakBytes();
+  }
+
+  EncoderOutput enc_fake;
+  t::Tensor adv;
+  {
+    util::MemoryRegion region;
+    enc_fake = encoder_->ForwardDense(probs, b.x);
+    adv = t::BceWithLogits(discriminator_->ForwardLogit(enc_fake.readout),
+                           s.real_target);
+    if (prior_epoch) {
+      t::Tensor d_prior = FakeLogit(SamplePrior(b.k), b.x, /*detach=*/false);
+      adv = t::Scale(
+          t::Add(adv, t::BceWithLogits(d_prior, s.real_target)), 0.5f);
+    }
+    s.counters.disc_peak = region.PeakBytes();
+  }
+
+  t::Tensor l_rec = t::MseLoss(enc.readout, enc_fake.readout);
+  // Coreset batches debias the reconstruction likelihood with the pair
+  // weights w_i * w_j; the unweighted path is bitwise-unchanged.
+  t::Tensor l_bce =
+      b.weights.empty()
+          ? t::BceWithLogits(logits, b.a_dense, b.pos_weight)
+          : WeightedBceWithLogits(logits, b.a_dense, b.weights, b.pos_weight,
+                                  b.pair_inv_norm);
+
+  t::Tensor loss_g = t::Add(
+      t::Add(t::Scale(adv, kAdvWeight), t::Scale(l_rec, kRecWeight)),
+      t::Add(t::Scale(vae_out.kl, kKlWeight),
+             t::Scale(l_bce, config_.bce_weight)));
+  s.stats.g_loss.push_back(s.GuardedUpdate(loss_g, kGenStream, epoch));
+}
+
+float Cpgan::TrainState::GuardedUpdate(const t::Tensor& loss, int stream,
+                                       int epoch) {
+  const bool generator = stream == kGenStream;
+  const std::vector<t::Tensor>& params = generator ? params_g : params_d;
+  {
+    CPGAN_TRACE_SPAN("train/backward");
+    t::Backward(loss);
+  }
+  float value = loss.Scalar();
+  if (generator) {
+    if (run_logger.ok()) counters.grad_norm = GradNorm(params);
+    // Deterministic fault injection (tests only; a default plan is inert).
+    if (fault_plan.InjectNanGrad(epoch)) {
+      train::PoisonGradient(params, fault_plan.nan_grad_param);
+    }
+    if (fault_plan.InjectInfLoss(epoch)) {
+      value = std::numeric_limits<float>::infinity();
+    }
+  }
+  train::StepVerdict verdict = guard.Inspect(value, params, stream);
+  if (verdict == train::StepVerdict::kOk) {
+    CPGAN_TRACE_SPAN("train/optimizer");
+    t::ClipGradients(params, kGradClip);
+    if (generator) {
+      opt_g.Step();
+      opt_g_fast.Step();
+    } else {
+      opt_d.Step();
+    }
+    guard.CommitGood(value, stream);
+  } else {
+    // The epoch continues with the restored weights.
+    guard.Recover();
+    DecayLearningRates(kGuardConfig.lr_decay_on_recovery);
+    ++stats.recoveries;
+    ++counters.trips;
+    if (guard.has_snapshot()) ++counters.rollbacks;
+    CPGAN_LOG(Warning) << "guard: "
+                       << (generator ? "generator" : "discriminator")
+                       << " step rejected at epoch " << epoch << " ("
+                       << train::StepVerdictName(verdict)
+                       << ", loss=" << value << "); "
+                       << (guard.has_snapshot()
+                               ? "rolled back to last good parameters"
+                               : "no snapshot yet, step skipped");
+  }
+  // The fake-graph passes deposit gradients in modules the stepped
+  // optimizers do not own.
+  for (t::Tensor& p : params_all) p.ZeroGrad();
+  return value;
+}
+
+void Cpgan::TrainState::WriteCheckpoint(int completed_epochs) {
+  util::Timer timer;
+  train::CheckpointMeta meta;
+  meta.epoch = completed_epochs;
+  meta.config_hash = arch_hash;
+  std::string path =
+      train::CheckpointPath(config.checkpoint_dir, completed_epochs);
+  util::RetryResult retried = util::RetryWithBackoff(
+      io_backoff, io_rng,
+      [&] { return train::SaveCheckpoint(path, meta, params_all); });
+  stats.checkpoint_retries += retried.retries();
+  if (retried.ok) {
+    ++stats.checkpoints_written;
+    if (retried.retries() > 0) {
+      CPGAN_LOG(Warning) << "checkpoint " << path << " written after "
+                         << retried.retries() << " transient I/O retries";
+    }
+  } else {
+    CPGAN_LOG(Warning) << "failed to write checkpoint " << path << " after "
+                       << retried.attempts << " attempts";
+  }
+  counters.wrote_checkpoint = retried.ok;
+  counters.checkpoint_ms = timer.Millis();
 }
 
 uint64_t Cpgan::ArchitectureHash() const {
@@ -734,8 +736,8 @@ uint64_t Cpgan::ArchitectureHash() const {
       config_.latent_dim,    config_.num_levels,
       config_.max_pool_size, config_.use_hierarchy ? 1 : 0,
       config_.concat_decoder ? 1 : 0,
-      observed_ != nullptr ? observed_->num_nodes() : 0,
-      static_cast<int64_t>(extra_contexts_.size())};
+      contexts_[0].graph.num_nodes(),
+      static_cast<int64_t>(contexts_.size()) - 1};
   return train::HashFields(fields);
 }
 
@@ -815,13 +817,10 @@ tensor::Tensor Cpgan::ClusteringLoss(
 
 void Cpgan::EncodeObserved() {
   CPGAN_TRACE_SPAN("core/encode_observed");
-  auto a_hat = std::make_shared<t::SparseMatrix>(
-      config_.use_two_hop_adjacency
-          ? t::TwoHopNormalizedAdjacency(observed_->num_nodes(),
-                                         observed_->Edges())
-          : t::NormalizedAdjacency(observed_->num_nodes(),
-                                   observed_->Edges()));
-  EncoderOutput enc = encoder_->Forward(a_hat, features_.Detach());
+  const TrainContext& observed = contexts_[0];
+  EncoderOutput enc = encoder_->Forward(
+      EncoderAdjacency(observed.graph, config_.use_two_hop_adjacency),
+      observed.features.Detach());
   // sample=false keeps the posterior means and draws nothing, so the local
   // RNG is never advanced and the result is a pure function of the weights.
   util::Rng unused_rng(0);
@@ -835,7 +834,7 @@ void Cpgan::EncodeObserved() {
   // Pooling disabled (CPGAN-noH): the Louvain targets are the learned
   // representation's training signal; use them directly.
   community_labels_ = enc.assignments.empty()
-                          ? louvain_.FinalPartition().labels()
+                          ? louvain_labels_
                           : ArgmaxRows(enc.assignments[0].value());
 }
 
@@ -867,7 +866,8 @@ graph::Graph Cpgan::GenerateFromTable(const t::Matrix& table, int num_nodes,
   AssemblyOptions options;
   if (controls.subgraph_size > 0) {
     options.subgraph_size = controls.subgraph_size;
-  } else if (controls.from_prior || num_nodes != observed_->num_nodes()) {
+  } else if (controls.from_prior ||
+             num_nodes != contexts_[0].graph.num_nodes()) {
     options.subgraph_size = std::max(config_.subgraph_size, 256);
   } else {
     options.subgraph_size =
@@ -1012,8 +1012,8 @@ graph::Graph Cpgan::GenerateHierarchicalFromTable(
 graph::Graph Cpgan::GenerateWith(const GenerateControls& controls,
                                  util::Rng& rng) const {
   CPGAN_CHECK(trained_);
-  const int n = observed_->num_nodes();
-  const int64_t m = observed_->num_edges();
+  const int n = contexts_[0].graph.num_nodes();
+  const int64_t m = contexts_[0].graph.num_edges();
   const int num_nodes = controls.num_nodes > 0 ? controls.num_nodes : n;
   // Without an explicit edge count, sized outputs keep the observed density
   // (a 10x-smaller request would otherwise come back near-complete).

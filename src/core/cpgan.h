@@ -6,14 +6,12 @@
 #include <string>
 #include <vector>
 
-#include "community/louvain.h"
 #include "core/config.h"
 #include "core/decoder.h"
 #include "core/discriminator.h"
 #include "core/ladder_encoder.h"
 #include "core/variational.h"
 #include "graph/graph.h"
-#include "tensor/optimizer.h"
 #include "train/fault.h"
 
 namespace cpgan::core {
@@ -122,8 +120,8 @@ class Cpgan {
   /// allows learning from a training set): every epoch samples its subgraph
   /// from a uniformly chosen training graph, sharing all model parameters.
   /// Each graph gets its own trainable feature table. Generation and edge
-  /// probabilities refer to the first graph.
-  TrainStats FitMany(const std::vector<graph::Graph>& observed);
+  /// probabilities refer to the first graph. The model keeps the graphs.
+  TrainStats FitMany(std::vector<graph::Graph> graphs);
 
   /// Generates a graph with the observed size/edge count from the posterior
   /// latents of the observed graph (the mode evaluated in Tables III/IV).
@@ -231,16 +229,56 @@ class Cpgan {
   void SetFaultPlan(const train::FaultPlan& plan) { fault_plan_ = plan; }
 
  private:
+  /// One training graph. contexts_[0] is the observed graph (under coreset
+  /// training, the coreset's induced subgraph); FitMany's further graphs
+  /// follow in order. All of them share every module parameter.
+  struct TrainContext {
+    graph::Graph graph{0};
+    /// Trainable input features (n x feature_dim), warm-started from the
+    /// spectral embedding of A: the paper's identity X (a free row per node)
+    /// in a form whose rows a sampled batch can gather.
+    tensor::Tensor features;
+    /// targets[l][v]: community label of node v that constrains pooling
+    /// step l, remapped into [0, pool_sizes[l]).
+    std::vector<std::vector<int>> targets;
+    /// Coreset training only (else empty): each node's Horvitz-Thompson
+    /// weight, and the full graph's node count they normalize against.
+    std::vector<float> node_weights;
+    int full_nodes = 0;
+  };
+
+  /// Train's state and one epoch's batch (cpgan.cc); neither outlives it.
+  struct TrainState;
+  struct Batch;
+
   /// Derives the pooling sizes from the training subgraph size.
   std::vector<int> ResolvePoolSizes(int subgraph_nodes) const;
 
-  /// Shared model construction for Fit/FitMany and WarmStart: observed-graph
-  /// context, spectral features, Louvain targets, and all modules.
-  void BuildModel(const std::vector<graph::Graph>& graphs);
+  /// Model construction for Train and WarmStart over contexts_' graphs:
+  /// each graph's feature table and Louvain targets, then all modules.
+  void BuildModel();
 
-  /// The training loop of FitMany. Returns with its optimizers, guard and
-  /// epoch state released.
-  TrainStats Train(const std::vector<graph::Graph>& graphs);
+  /// The epoch loop of FitMany over the steps below. Returns with its
+  /// optimizers, guard and epoch state released.
+  TrainStats Train(std::vector<graph::Graph> graphs);
+
+  // Train's steps, each under its trace span (docs/INTERNALS.md, "The
+  // training loop"): train/coreset_sample, train/sample, train/disc_step
+  // (eqs. 16-17) and train/gen_step (eqs. 18-19 merged). TrainState holds
+  // the guarded update both steps end with, and the checkpoint.
+  void SampleCoreset();
+  Batch SampleBatch();
+  void DiscriminatorStep(TrainState& s, const Batch& batch, bool prior_epoch,
+                         int epoch);
+  void GeneratorStep(TrainState& s, const Batch& batch, bool prior_epoch,
+                     int epoch);
+
+  /// Decode `z`, sigmoid, dense re-encode over `x`, discriminator logit.
+  /// `detach` stops the gradient at the probabilities.
+  tensor::Tensor FakeLogit(const std::vector<tensor::Tensor>& z,
+                           const tensor::Tensor& x, bool detach) const;
+  /// One k x latent_dim draw from the Gaussian prior per level.
+  std::vector<tensor::Tensor> SamplePrior(int k);
 
   /// Builds the observed graph's normalized adjacency and runs one encoder
   /// pass under the current weights, storing the posterior-mean latents,
@@ -248,16 +286,9 @@ class Cpgan {
   /// decoder makes of those latents. Called after every weight change.
   void EncodeObserved();
 
-  /// Every trainable parameter in checkpoint order (modules, then the
-  /// primary feature table, then per-extra-graph feature tables).
+  /// Every trainable parameter in checkpoint order: the modules, then each
+  /// training graph's feature table in FitMany order.
   std::vector<tensor::Tensor> CollectAllParams() const;
-
-  /// Per-graph training context for multi-graph fitting.
-  struct TrainContext {
-    graph::Graph graph{0};
-    tensor::Tensor features;                    // trainable, n x feature_dim
-    std::vector<std::vector<int>> targets;      // per pooling step
-  };
 
   /// Clustering-consistency loss over the assignment matrices (Section
   /// III-F2): -sum_l mean_i log S^l[i, y^l_i]. `targets` are the remapped
@@ -294,20 +325,11 @@ class Cpgan {
   /// Pending checkpoint to restore at the top of the next Fit (ResumeFrom).
   std::string resume_from_;
 
-  // Observed-graph context (populated by Fit).
-  std::unique_ptr<graph::Graph> observed_;
-  /// Trainable per-node input features (n x feature_dim), initialized from
-  /// the spectral embedding of A. The paper's default X is the identity
-  /// matrix, i.e. a free embedding row per node; a trainable table is the
-  /// subgraph-sampling-compatible equivalent (rows are gathered per batch),
-  /// warm-started with X(A)'s spectral structure.
-  tensor::Tensor features_;
-  community::LouvainResult louvain_;
-  /// targets_by_level_[l][v]: community label of original node v used to
-  /// constrain pooling step l, remapped into [0, pool_sizes[l]).
-  std::vector<std::vector<int>> targets_by_level_;
-  /// Additional training graphs beyond the primary one (FitMany).
-  std::vector<TrainContext> extra_contexts_;
+  /// The training graphs (set by FitMany and WarmStart).
+  std::vector<TrainContext> contexts_;
+  /// The observed graph's final Louvain partition: its community labels
+  /// when pooling is off (CPGAN-noH; see LearnedCommunityLabels).
+  std::vector<int> louvain_labels_;
   int effective_levels_ = 1;
 
   /// Stored by EncodeObserved (see PosteriorMeanLatents and
@@ -318,12 +340,6 @@ class Cpgan {
   std::vector<tensor::Matrix> posterior_latents_;
   std::vector<int> community_labels_;
   tensor::Matrix edge_table_;
-
-  /// Horvitz-Thompson importance weights of the coreset nodes (aligned with
-  /// the relabeled coreset graph's node ids; empty when coreset training is
-  /// off) and the full graph's node count they normalize against.
-  std::vector<float> coreset_weights_;
-  int coreset_full_nodes_ = 0;
 
   // Modules.
   std::unique_ptr<LadderEncoder> encoder_;

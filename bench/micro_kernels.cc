@@ -190,6 +190,39 @@ void BM_DenseMatmulBackend(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * int64_t{n} * n * n);
 }
 
+/// dA = g·Bᵀ of Matmul's backward at the training model's shapes:
+/// range = (n, k, m) for A n×k and B m×k.
+void BM_MatmulNTBackend(benchmark::State& state, const std::string& backend) {
+  tensor::kernels::SetBackend(backend);
+  const int n = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int m = static_cast<int>(state.range(2));
+  util::Rng rng(8);
+  tensor::Matrix a(n, k);
+  tensor::Matrix b(m, k);
+  a.FillNormal(rng, 1.0f);
+  b.FillNormal(rng, 1.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::MatmulNT(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{n} * k * m);
+}
+
+/// Matrix::Transposed at the row strides MatmulTN and the edge scorer
+/// transpose at: range = (rows, cols).
+void BM_Transposed(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  const int cols = static_cast<int>(state.range(1));
+  util::Rng rng(9);
+  tensor::Matrix x(rows, cols);
+  x.FillNormal(rng, 1.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x.Transposed());
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{rows} * cols);
+}
+BENCHMARK(BM_Transposed)->Args({256, 256})->Args({1024, 64});
+
 void BM_SpMMBackend(benchmark::State& state, const std::string& backend) {
   tensor::kernels::SetBackend(backend);
   int n = static_cast<int>(state.range(0));
@@ -240,6 +273,10 @@ void RegisterBackendSweeps() {
         ->Arg(256)
         ->Arg(512)
         ->Arg(1024);
+    benchmark::RegisterBenchmark(("BM_MatmulNTBackend/" + name).c_str(),
+                                 BM_MatmulNTBackend, name)
+        ->Args({256, 64, 256})
+        ->Args({256, 32, 32});
     benchmark::RegisterBenchmark(("BM_SpMMBackend/" + name).c_str(),
                                  BM_SpMMBackend, name)
         ->Arg(4096)

@@ -321,7 +321,6 @@ TrainStats Cpgan::Train(std::vector<graph::Graph> graphs) {
   }
   contexts_.clear();
   for (graph::Graph& g : graphs) contexts_.emplace_back().graph = std::move(g);
-  SampleCoreset();
 
   // ----- Observability setup (src/obs/; docs/OBSERVABILITY.md) -----
   TraceFlagsGuard trace_flags_guard;
@@ -335,6 +334,8 @@ TrainStats Cpgan::Train(std::vector<graph::Graph> graphs) {
   }
   const int run_threads = util::ThreadPool::Global().num_threads();
 
+  // After the reset above, so the run's own profile and trace keep the span.
+  SampleCoreset();
   BuildModel();
   TrainState s(*this);
   for (int epoch = s.stats.start_epoch; epoch < config_.epochs; ++epoch) {

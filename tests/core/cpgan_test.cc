@@ -452,6 +452,21 @@ TEST(CpganTest, PosteriorGenerationRunsNoDecoderPass) {
   obs::ResetTraces();
 }
 
+TEST(CpganTest, ProfiledCoresetFitKeepsTheCoresetSpan) {
+  // A Fit that asks for its own profile resets the collected spans first;
+  // the coreset swap must run inside that window, or the profile and trace
+  // never show it.
+  CpganConfig config = FastConfig();
+  config.epochs = 2;
+  config.coreset_size = 60;
+  config.profile = true;
+  Cpgan model(config);
+  TrainStats stats = model.Fit(SmallCommunityGraph());
+  EXPECT_EQ(stats.coreset_nodes, 50);
+  EXPECT_EQ(SpanCalls("train/coreset_sample"), 1u);
+  obs::ResetTraces();
+}
+
 TEST(CpganDeathTest, EdgeProbabilitiesRejectsOutOfRangeIds) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   graph::Graph observed = SmallCommunityGraph();

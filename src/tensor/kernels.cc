@@ -131,7 +131,7 @@ std::vector<const KernelOps*> AvailableBackends() {
 
 const std::vector<std::string>& OpNames() {
   static const std::vector<std::string> names = {
-      "matmul_tile", "axpy", "add", "scale", "dot", "sum", "sumsq",
+      "matmul_tile", "axpy", "add", "scale", "dot4", "sum", "sumsq",
   };
   return names;
 }

@@ -64,8 +64,19 @@ struct KernelOps {
   /// y[0..n) *= alpha.
   void (*scale)(float alpha, float* y, int64_t n);
 
-  /// sum_{i<n} a[i] * b[i], accumulated in double (MatmulNT inner loop).
-  double (*dot)(const float* a, const float* b, int64_t n);
+  /// out[r] = sum_{i<n} a[i] * b[r*n + i] for r < rows, 1 <= rows <= 4:
+  /// one row of A against up to four rows of B already widened to double,
+  /// accumulated in double (MatmulNT's inner kernel). Every output is
+  /// summed in the backend's fixed one-row order, whatever `rows` is:
+  ///   scalar — sequentially in i;
+  ///   avx2   — two 4-lane FMA chains over lanes 0-3 and 4-7 of each
+  ///            8-float step, added lanewise and reduced ((l0+l1)+l2)+l3,
+  ///            then the tail in index order.
+  /// A float product is exact in double, so widening B before the call
+  /// changes no bit against converting it in the loop (pinned by
+  /// KernelDiff.MatmulNTKeepsDotOrder).
+  void (*dot4)(const float* a, const double* b, int64_t n, int rows,
+               double* out);
 
   /// sum_{i<n} x[i], accumulated in double.
   double (*sum)(const float* x, int64_t n);

@@ -15,6 +15,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -114,22 +115,63 @@ double HorizontalSum(__m256d v) {
   return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
 }
 
-double Avx2Dot(const float* a, const float* b, int64_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
+/// Per row, lanes 0-3 and 4-7 of each 8-float step feed their own FMA
+/// chain; the chains are added lanewise and reduced in HorizontalSum's lane
+/// order, then the tail is added in index order. The four rows share A's
+/// conversion, and one 4x4 transpose of their lane vectors reduces all four
+/// at once: lane r of the transposed sum is ((l0+l1)+l2)+l3 of row r, bit
+/// for bit.
+void Avx2Dot4(const float* a, const double* b, int64_t n, int rows,
+              double* out) {
+  // Rows past `rows` repeat the last one; their sums are dropped.
+  const double* b0 = b;
+  const double* b1 = b + std::min(1, rows - 1) * n;
+  const double* b2 = b + std::min(2, rows - 1) * n;
+  const double* b3 = b + std::min(3, rows - 1) * n;
+  __m256d lo0 = _mm256_setzero_pd(), hi0 = _mm256_setzero_pd();
+  __m256d lo1 = _mm256_setzero_pd(), hi1 = _mm256_setzero_pd();
+  __m256d lo2 = _mm256_setzero_pd(), hi2 = _mm256_setzero_pd();
+  __m256d lo3 = _mm256_setzero_pd(), hi3 = _mm256_setzero_pd();
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 av = _mm256_loadu_ps(a + i);
-    const __m256 bv = _mm256_loadu_ps(b + i);
-    acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(av)),
-                           _mm256_cvtps_pd(_mm256_castps256_ps128(bv)), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)),
-                           _mm256_cvtps_pd(_mm256_extractf128_ps(bv, 1)),
-                           acc1);
+    const __m256d alo = _mm256_cvtps_pd(_mm256_castps256_ps128(av));
+    const __m256d ahi = _mm256_cvtps_pd(_mm256_extractf128_ps(av, 1));
+    lo0 = _mm256_fmadd_pd(alo, _mm256_loadu_pd(b0 + i), lo0);
+    hi0 = _mm256_fmadd_pd(ahi, _mm256_loadu_pd(b0 + i + 4), hi0);
+    lo1 = _mm256_fmadd_pd(alo, _mm256_loadu_pd(b1 + i), lo1);
+    hi1 = _mm256_fmadd_pd(ahi, _mm256_loadu_pd(b1 + i + 4), hi1);
+    lo2 = _mm256_fmadd_pd(alo, _mm256_loadu_pd(b2 + i), lo2);
+    hi2 = _mm256_fmadd_pd(ahi, _mm256_loadu_pd(b2 + i + 4), hi2);
+    lo3 = _mm256_fmadd_pd(alo, _mm256_loadu_pd(b3 + i), lo3);
+    hi3 = _mm256_fmadd_pd(ahi, _mm256_loadu_pd(b3 + i + 4), hi3);
   }
-  double acc = HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) acc += static_cast<double>(a[i]) * b[i];
-  return acc;
+  const __m256d s0 = _mm256_add_pd(lo0, hi0);
+  const __m256d s1 = _mm256_add_pd(lo1, hi1);
+  const __m256d s2 = _mm256_add_pd(lo2, hi2);
+  const __m256d s3 = _mm256_add_pd(lo3, hi3);
+  // t01_even = (s0[0], s1[0], s0[2], s1[2]), t01_odd = (s0[1], s1[1], ...).
+  const __m256d t01_even = _mm256_unpacklo_pd(s0, s1);
+  const __m256d t01_odd = _mm256_unpackhi_pd(s0, s1);
+  const __m256d t23_even = _mm256_unpacklo_pd(s2, s3);
+  const __m256d t23_odd = _mm256_unpackhi_pd(s2, s3);
+  // lane_q = (s0[q], s1[q], s2[q], s3[q]).
+  const __m256d lane0 = _mm256_permute2f128_pd(t01_even, t23_even, 0x20);
+  const __m256d lane1 = _mm256_permute2f128_pd(t01_odd, t23_odd, 0x20);
+  const __m256d lane2 = _mm256_permute2f128_pd(t01_even, t23_even, 0x31);
+  const __m256d lane3 = _mm256_permute2f128_pd(t01_odd, t23_odd, 0x31);
+  alignas(32) double acc[4];
+  _mm256_store_pd(acc, _mm256_add_pd(
+                           _mm256_add_pd(_mm256_add_pd(lane0, lane1), lane2),
+                           lane3));
+  for (; i < n; ++i) {
+    const double ai = a[i];
+    acc[0] += ai * b0[i];
+    acc[1] += ai * b1[i];
+    acc[2] += ai * b2[i];
+    acc[3] += ai * b3[i];
+  }
+  for (int r = 0; r < rows; ++r) out[r] = acc[r];
 }
 
 double Avx2Sum(const float* x, int64_t n) {
@@ -169,7 +211,7 @@ double Avx2SumSq(const float* x, int64_t n) {
 const KernelOps* Avx2OpsIfBuilt() {
   static const KernelOps ops = {
       "avx2",    Avx2MatmulTile, Avx2Axpy, Avx2Add,
-      Avx2Scale, Avx2Dot,        Avx2Sum,  Avx2SumSq,
+      Avx2Scale, Avx2Dot4,       Avx2Sum,  Avx2SumSq,
   };
   return &ops;
 }

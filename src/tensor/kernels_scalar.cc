@@ -34,12 +34,14 @@ void ScalarScale(float alpha, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] *= alpha;
 }
 
-double ScalarDot(const float* a, const float* b, int64_t n) {
-  double acc = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(a[i]) * b[i];
+void ScalarDot4(const float* a, const double* b, int64_t n, int rows,
+                double* out) {
+  for (int r = 0; r < rows; ++r) {
+    const double* brow = b + r * n;
+    double acc = 0.0;
+    for (int64_t i = 0; i < n; ++i) acc += static_cast<double>(a[i]) * brow[i];
+    out[r] = acc;
   }
-  return acc;
 }
 
 double ScalarSum(const float* x, int64_t n) {
@@ -61,7 +63,7 @@ double ScalarSumSq(const float* x, int64_t n) {
 const KernelOps& ScalarOps() {
   static const KernelOps ops = {
       "scalar",    ScalarMatmulTile, ScalarAxpy,  ScalarAdd,
-      ScalarScale, ScalarDot,        ScalarSum,   ScalarSumSq,
+      ScalarScale, ScalarDot4,       ScalarSum,   ScalarSumSq,
   };
   return ops;
 }

@@ -1,7 +1,9 @@
 #include "tensor/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "obs/trace.h"
 #include "tensor/kernels.h"
@@ -20,8 +22,14 @@ namespace {
 /// gives bitwise-identical results within a backend.
 constexpr int kTileRows = 64;
 constexpr int kTileK = 64;
-/// Fixed blocking for Transposed() (data movement only; not autotuned).
+/// Fixed blocking for Transposed() (data movement only; not autotuned):
+/// column bands of kTransposeTileCols, copied in square blocks of
+/// kTransposeBlock.
 constexpr int kTransposeTileCols = 64;
+constexpr int kTransposeBlock = 8;
+
+/// MatmulNT runs one A row against this many B rows per dot4 call.
+constexpr int kDotRows = 4;
 
 /// Below this many multiply-adds the blocked/parallel path is not worth its
 /// setup; the original streaming i-k-j loop runs instead. The cutoff is a
@@ -224,16 +232,19 @@ void Matrix::Scale(float alpha) {
 
 Matrix Matrix::Transposed() const {
   Matrix out(cols_, rows_);
-  // Parallel over output row panels (= source column panels): each chunk
-  // writes a disjoint band of `out`, reading the source in cache-friendly
-  // kTileRows x kTransposeTileCols blocks.
+  // Parallel over output row bands (= source column bands): each chunk
+  // writes a disjoint band of `out`. Within a band, each strip of
+  // kTransposeBlock columns is copied down the source in square blocks, so
+  // only that many destination rows are written at a time: at a
+  // power-of-two stride, the 64 rows of a whole band share a few L1 sets.
   util::ParallelFor(0, cols_, kTransposeTileCols, [&](int64_t c0, int64_t c1) {
-    for (int r0 = 0; r0 < rows_; r0 += kTileRows) {
-      const int r1 = std::min(rows_, r0 + kTileRows);
-      for (int r = r0; r < r1; ++r) {
-        const float* src = Row(r);
-        for (int64_t c = c0; c < c1; ++c) {
-          out.Row(static_cast<int>(c))[r] = src[c];
+    for (int64_t s0 = c0; s0 < c1; s0 += kTransposeBlock) {
+      const int64_t s1 = std::min<int64_t>(c1, s0 + kTransposeBlock);
+      for (int r0 = 0; r0 < rows_; r0 += kTransposeBlock) {
+        const int r1 = std::min(rows_, r0 + kTransposeBlock);
+        for (int64_t c = s0; c < s1; ++c) {
+          float* dst = out.Row(static_cast<int>(c));
+          for (int r = r0; r < r1; ++r) dst[r] = Row(r)[c];
         }
       }
     }
@@ -308,17 +319,26 @@ Matrix MatmulNT(const Matrix& a, const Matrix& b) {
   const int m = b.rows();
   if (n == 0 || k == 0 || m == 0) return out;
   // Dot-product form: each output row depends only on one row of A and all
-  // of B, so row panels parallelize with no write sharing; the per-element
-  // double accumulator order is fixed by the backend's dot kernel
-  // regardless of panels.
+  // of B, so row panels parallelize with no write sharing. Per panel, each
+  // group of four B rows is widened to double into the task's buffer and
+  // every A row of the panel runs against it. The backend's dot4 sums each
+  // element in its fixed one-row order, so neither the panels nor the
+  // groups move a bit.
   CPGAN_TRACE_SPAN("tensor/matmul_nt");
   const kernels::KernelOps& ops = kernels::Active();
   util::ParallelFor(0, n, kTileRows, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = a.Row(static_cast<int>(i));
-      float* orow = out.Row(static_cast<int>(i));
-      for (int j = 0; j < m; ++j) {
-        orow[j] = static_cast<float>(ops.dot(arow, b.Row(j), k));
+    std::vector<double> group(static_cast<size_t>(kDotRows) * k);
+    double dots[kDotRows];
+    for (int j0 = 0; j0 < m; j0 += kDotRows) {
+      const int rows = std::min(kDotRows, m - j0);
+      for (int r = 0; r < rows; ++r) {
+        const float* brow = b.Row(j0 + r);
+        std::copy(brow, brow + k, group.begin() + static_cast<int64_t>(r) * k);
+      }
+      for (int64_t i = i0; i < i1; ++i) {
+        ops.dot4(a.Row(static_cast<int>(i)), group.data(), k, rows, dots);
+        float* orow = out.Row(static_cast<int>(i)) + j0;
+        for (int r = 0; r < rows; ++r) orow[r] = static_cast<float>(dots[r]);
       }
     }
   });

@@ -97,10 +97,13 @@ class Matrix {
 /// C = A * B.
 Matrix Matmul(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B without materializing A^T.
+/// C = A^T * B. Above the serial cutoff, A^T is materialized by
+/// Transposed() and the blocked Matmul kernel runs on it.
 Matrix MatmulTN(const Matrix& a, const Matrix& b);
 
-/// C = A * B^T without materializing B^T.
+/// C = A * B^T without materializing B^T: one row of A against four rows
+/// of B per kernel call, each element accumulated in double in the
+/// backend's fixed dot order (KernelOps::dot4).
 Matrix MatmulNT(const Matrix& a, const Matrix& b);
 
 /// C += A * B into an existing accumulator (shape checked).

@@ -22,6 +22,7 @@
 #include "data/synthetic.h"
 #include "eval/mmd.h"
 #include "generators/ba.h"
+#include "graph/algorithms.h"
 #include "testing/eval_ref.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -164,6 +165,76 @@ void BM_RefLouvainSbm(benchmark::State& state) {
   state.SetComplexityN(n);
 }
 BENCHMARK(BM_RefLouvainSbm)->Arg(1024)->Arg(8192);
+
+// Graph metrics that score every generated graph (Table IV's clustering
+// MMD and CPL), against their per-pair HasEdge / one-BFS-per-source
+// references. Inputs: perfbench's `generate` fixture (3000 nodes, 12000
+// edges, 24 communities, seed 20220501) and a 100k-node, 500k-edge
+// community graph (range: nodes, threads). Built once per node count.
+const graph::Graph& MetricGraph(int nodes) {
+  static const graph::Graph fixture = [] {
+    data::CommunityGraphParams params;
+    params.num_nodes = 3000;
+    params.num_edges = 12000;
+    params.num_communities = 24;
+    util::Rng rng(20220501);
+    return data::MakeCommunityGraph(params, rng);
+  }();
+  static const graph::Graph large = [] {
+    data::CommunityGraphParams params;
+    params.num_nodes = 100000;
+    params.num_edges = 500000;
+    params.num_communities = 800;
+    util::Rng rng(20220501);
+    return data::MakeCommunityGraph(params, rng);
+  }();
+  return nodes == 3000 ? fixture : large;
+}
+
+template <typename Fn>
+void RunMetric(benchmark::State& state, Fn fn) {
+  const graph::Graph& g = MetricGraph(static_cast<int>(state.range(0)));
+  util::ThreadPool::SetGlobalThreads(static_cast<int>(state.range(1)));
+  for (auto _ : state) benchmark::DoNotOptimize(fn(g));
+  util::ThreadPool::SetGlobalThreads(1);
+}
+
+void BM_LocalClustering(benchmark::State& state) {
+  RunMetric(state, [](const graph::Graph& g) {
+    return graph::LocalClusteringCoefficients(g);
+  });
+}
+
+void BM_RefLocalClustering(benchmark::State& state) {
+  RunMetric(state, [](const graph::Graph& g) {
+    return testing::RefLocalClusteringCoefficients(g);
+  });
+}
+
+void BM_Cpl(benchmark::State& state) {
+  RunMetric(state, [](const graph::Graph& g) {
+    util::Rng rng(3);
+    return graph::CharacteristicPathLength(g, rng);
+  });
+}
+
+void BM_RefCpl(benchmark::State& state) {
+  RunMetric(state, [](const graph::Graph& g) {
+    util::Rng rng(3);
+    return testing::RefCharacteristicPathLength(g, rng);
+  });
+}
+
+void MetricArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"nodes", "threads"})->Unit(benchmark::kMillisecond);
+  for (int nodes : {3000, 100000}) {
+    for (int threads : {1, 4}) b->Args({nodes, threads});
+  }
+}
+BENCHMARK(BM_LocalClustering)->Apply(MetricArgs);
+BENCHMARK(BM_RefLocalClustering)->Apply(MetricArgs);
+BENCHMARK(BM_Cpl)->Apply(MetricArgs);
+BENCHMARK(BM_RefCpl)->Apply(MetricArgs);
 
 }  // namespace
 

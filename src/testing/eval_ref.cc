@@ -4,6 +4,9 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "graph/algorithms.h"
+#include "util/thread_pool.h"
+
 namespace cpgan::testing {
 namespace {
 
@@ -246,6 +249,101 @@ community::LouvainResult RefLouvain(const graph::Graph& g, util::Rng& rng,
   }
   result.modularity = community::Modularity(g, result.FinalPartition());
   return result;
+}
+
+// ---------------------------------------------------------------------------
+// Historical graph metrics: per-pair HasEdge clustering and triangle loops,
+// and one BFS per source over a rebuilt largest component. Kept verbatim
+// from the pre-bitset src/graph/algorithms.cc.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kRefNodeGrain = 64;
+
+std::vector<double> RefLocalClusteringCoefficients(const graph::Graph& g) {
+  std::vector<double> coeffs(g.num_nodes(), 0.0);
+  util::ParallelFor(0, g.num_nodes(), kRefNodeGrain,
+                    [&](int64_t v0, int64_t v1) {
+    for (int64_t v = v0; v < v1; ++v) {
+      auto nbrs = g.neighbors(static_cast<int>(v));
+      int d = static_cast<int>(nbrs.size());
+      if (d < 2) continue;
+      int64_t links = 0;
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        for (size_t j = i + 1; j < nbrs.size(); ++j) {
+          if (g.HasEdge(nbrs[i], nbrs[j])) ++links;
+        }
+      }
+      coeffs[v] = 2.0 * static_cast<double>(links) /
+                  (static_cast<double>(d) * (d - 1));
+    }
+  });
+  return coeffs;
+}
+
+int64_t RefCountTriangles(const graph::Graph& g) {
+  const int64_t num_chunks =
+      util::ThreadPool::NumChunks(0, g.num_nodes(), kRefNodeGrain);
+  std::vector<int64_t> partial(num_chunks, 0);
+  util::ParallelForChunked(
+      0, g.num_nodes(), kRefNodeGrain,
+      [&](int64_t u0, int64_t u1, int64_t chunk) {
+        int64_t triangles = 0;
+        for (int64_t u = u0; u < u1; ++u) {
+          auto nbrs = g.neighbors(static_cast<int>(u));
+          for (size_t i = 0; i < nbrs.size(); ++i) {
+            if (nbrs[i] <= u) continue;
+            for (size_t j = i + 1; j < nbrs.size(); ++j) {
+              if (g.HasEdge(nbrs[i], nbrs[j])) ++triangles;
+            }
+          }
+        }
+        partial[chunk] = triangles;
+      });
+  int64_t triangles = 0;
+  for (int64_t p : partial) triangles += p;
+  return triangles;
+}
+
+double RefCharacteristicPathLength(const graph::Graph& g, util::Rng& rng,
+                                   int num_sources) {
+  std::vector<int> comp = graph::LargestComponent(g);
+  if (comp.size() < 2) return 0.0;
+  graph::Graph sub = g.InducedSubgraph(comp);
+  int n = sub.num_nodes();
+  std::vector<int> sources;
+  if (n <= num_sources) {
+    sources.resize(n);
+    for (int i = 0; i < n; ++i) sources[i] = i;
+  } else {
+    sources = rng.SampleWithoutReplacement(n, num_sources);
+  }
+  const int num_src = static_cast<int>(sources.size());
+  std::vector<int64_t> src_total(num_src, 0);
+  std::vector<int64_t> src_pairs(num_src, 0);
+  util::ParallelFor(0, num_src, 1, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      int s = sources[i];
+      std::vector<int> dist = graph::BfsDistances(sub, s);
+      int64_t total = 0;
+      int64_t pairs = 0;
+      for (int v = 0; v < n; ++v) {
+        if (v == s) continue;
+        if (dist[v] > 0) {
+          total += dist[v];
+          ++pairs;
+        }
+      }
+      src_total[i] = total;
+      src_pairs[i] = pairs;
+    }
+  });
+  double total = 0.0;
+  int64_t pairs = 0;
+  for (int i = 0; i < num_src; ++i) {
+    total += static_cast<double>(src_total[i]);
+    pairs += src_pairs[i];
+  }
+  return pairs > 0 ? total / static_cast<double>(pairs) : 0.0;
 }
 
 }  // namespace cpgan::testing

@@ -13,10 +13,12 @@ namespace cpgan::testing {
 /// \file
 /// Trusted references for the eval/community hot paths, preserved verbatim
 /// from the pre-rewrite implementations (serial, per-pair re-normalizing
-/// MMD; map-of-maps Louvain). The differential tests in tests/numeric/ pit
-/// the optimized cached/flat-CSR versions against these — bitwise for MMD,
-/// and exactly on the golden fixtures for Louvain (see RefLouvain's note on
-/// tie-breaking). See docs/TESTING.md.
+/// MMD; map-of-maps Louvain; per-pair HasEdge clustering and triangles;
+/// one BFS per source on a rebuilt component for the CPL). The differential
+/// tests in tests/numeric/ pit the optimized versions against these —
+/// bitwise for MMD and the graph metrics, and exactly on the golden
+/// fixtures for Louvain (see RefLouvain's note on tie-breaking). See
+/// docs/TESTING.md.
 
 /// Squared MMD computed the historical way: every kernel evaluation pads
 /// and normalizes its own pair of histograms and no Gram matrix is shared,
@@ -38,6 +40,22 @@ double RefMmd(const std::vector<std::vector<double>>& a,
 community::LouvainResult RefLouvain(const graph::Graph& g, util::Rng& rng,
                                     double min_gain = 1e-7,
                                     int max_levels = 12);
+
+/// Local clustering coefficients the historical way: one Graph::HasEdge
+/// binary search per neighbour pair of every node, parallel over 64-node
+/// chunks.
+std::vector<double> RefLocalClusteringCoefficients(const graph::Graph& g);
+
+/// Triangle count by the same per-pair HasEdge loop, each triangle counted
+/// once at its smallest corner.
+int64_t RefCountTriangles(const graph::Graph& g);
+
+/// Characteristic path length the historical way: the largest component is
+/// rebuilt with InducedSubgraph, and one BFS runs per source (parallel over
+/// sources). Draws from `rng` exactly as graph::CharacteristicPathLength
+/// does.
+double RefCharacteristicPathLength(const graph::Graph& g, util::Rng& rng,
+                                   int num_sources = 64);
 
 }  // namespace cpgan::testing
 

@@ -1,6 +1,7 @@
 // Differential tests for the eval/community hot-path rewrite: the cached
-// Gram-matrix MMD and the flat-CSR Louvain against the pre-rewrite
-// implementations preserved verbatim in testing/eval_ref.*.
+// Gram-matrix MMD, the flat-CSR Louvain, and the clustering, triangle and
+// CPL graph metrics against the pre-rewrite implementations preserved
+// verbatim in testing/eval_ref.*.
 //
 // MMD must agree *bitwise* with the reference at every thread count — the
 // rewrite caches the per-sample common-support normalization and shares one
@@ -12,8 +13,16 @@
 // in double); the one legal divergence channel is the argmax scan order on
 // exactly-tied gains, so tie-free fixtures are held to exact partition
 // equality and tie-heavy ones to quality parity.
+//
+// The graph metrics are integer counts turned into doubles by one fixed
+// formula, so they must agree bitwise at every thread count, and the CPL
+// must leave the RNG stream exactly where the reference leaves it.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +32,7 @@
 #include "data/synthetic.h"
 #include "eval/mmd.h"
 #include "generators/ba.h"
+#include "graph/algorithms.h"
 #include "graph/stats.h"
 #include "testing/diff_harness.h"
 #include "testing/eval_ref.h"
@@ -206,6 +216,141 @@ TEST(LouvainDiffTest, QualityParityOnTieHeavyGraphs) {
                   got.FinalPartition(), want.FinalPartition()),
               c.min_nmi)
         << c.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Graph metrics: local clustering, triangle count, characteristic path length
+// ---------------------------------------------------------------------------
+
+struct NamedGraph {
+  std::string name;
+  graph::Graph g;
+};
+
+graph::Graph MakeCommunity(int nodes, int64_t edges, int comms,
+                           double triangle_fraction, uint64_t seed) {
+  data::CommunityGraphParams params;
+  params.num_nodes = nodes;
+  params.num_edges = edges;
+  params.num_communities = comms;
+  params.triangle_fraction = triangle_fraction;
+  util::Rng rng(seed);
+  return data::MakeCommunityGraph(params, rng);
+}
+
+// Degenerate shapes, a large component that neither holds node 0 nor spans
+// a contiguous id range (so sub-index i is not node i), a hub whose
+// neighbour list every leaf with a chord scans, a clique, community graphs
+// from triangle-free to triangle-rich, a BA graph, and one graph large
+// enough that the clustering chunk grain exceeds 64 nodes.
+std::vector<NamedGraph> MetricFixtures() {
+  std::vector<NamedGraph> out;
+  out.push_back({"n0", graph::Graph(0)});
+  out.push_back({"n1", graph::Graph(1)});
+  out.push_back({"n2", graph::Graph(2, {{0, 1}})});
+  out.push_back({"isolated", graph::Graph(40)});
+  {
+    std::vector<graph::Edge> edges;
+    for (int i = 0; i + 1 < 90; ++i) edges.emplace_back(i, i + 1);
+    out.push_back({"path", graph::Graph(90, edges)});
+  }
+  {
+    // {0, 5, 10} is a triangle; every other node is on a ring with chords.
+    const int n = 120;
+    std::vector<int> big;
+    for (int v = 0; v < n; ++v) {
+      if (v != 0 && v != 5 && v != 10) big.push_back(v);
+    }
+    std::vector<graph::Edge> edges = {{0, 5}, {5, 10}, {0, 10}};
+    const int k = static_cast<int>(big.size());
+    for (int i = 0; i < k; ++i) {
+      edges.emplace_back(big[i], big[(i + 1) % k]);
+      if (i % 4 == 0) edges.emplace_back(big[i], big[(i + 9) % k]);
+      if (i % 10 == 0) edges.emplace_back(big[i], big[(i + 2) % k]);
+    }
+    out.push_back({"two_components", graph::Graph(n, edges)});
+  }
+  {
+    const int n = 341;
+    const int hub = 170;
+    std::vector<graph::Edge> edges;
+    for (int v = 0; v < n; ++v) {
+      if (v != hub) edges.emplace_back(std::min(v, hub), std::max(v, hub));
+    }
+    for (graph::Edge chord : std::vector<graph::Edge>{
+             {1, 2}, {2, 3}, {1, 3}, {10, 200}, {50, 300}, {299, 300},
+             {169, 171}, {0, 340}}) {
+      edges.push_back(chord);
+    }
+    out.push_back({"star", graph::Graph(n, edges)});
+  }
+  {
+    std::vector<graph::Edge> edges;
+    for (int i = 0; i < 40; ++i) {
+      for (int j = i + 1; j < 40; ++j) edges.emplace_back(i, j);
+    }
+    out.push_back({"k40", graph::Graph(40, edges)});
+  }
+  out.push_back({"community_t0", MakeCommunity(600, 2400, 12, 0.0, 31)});
+  out.push_back({"community_t0.2", MakeCommunity(600, 2400, 12, 0.2, 32)});
+  out.push_back({"community_t0.4", MakeCommunity(600, 2400, 12, 0.4, 33)});
+  {
+    util::Rng rng(9);
+    out.push_back({"ba", generators::BaGenerator(500, 3).Generate(rng)});
+  }
+  out.push_back({"community_20k", MakeCommunity(20000, 60000, 80, 0.2, 34)});
+  return out;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+TEST(GraphMetricsDiffTest, ClusteringAndTrianglesBitwiseAcrossThreads) {
+  for (const NamedGraph& f : MetricFixtures()) {
+    const std::vector<double> want_coeffs =
+        testing::RefLocalClusteringCoefficients(f.g);
+    const int64_t want_triangles = testing::RefCountTriangles(f.g);
+    for (int threads : {1, 2, 8}) {
+      testing::ScopedThreads scoped(threads);
+      const std::vector<double> coeffs =
+          graph::LocalClusteringCoefficients(f.g);
+      ASSERT_EQ(coeffs.size(), want_coeffs.size()) << f.name;
+      for (size_t v = 0; v < coeffs.size(); ++v) {
+        ASSERT_TRUE(SameBits(coeffs[v], want_coeffs[v]))
+            << f.name << " threads=" << threads << " node " << v << ": "
+            << coeffs[v] << " vs " << want_coeffs[v];
+      }
+      EXPECT_EQ(graph::CountTriangles(f.g), want_triangles)
+          << f.name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(GraphMetricsDiffTest, CplAndRngStreamBitwiseAcrossThreads) {
+  for (const NamedGraph& f : MetricFixtures()) {
+    std::vector<int> source_counts = {1, 63, 64, 65, 128, 129};
+    // Every node a source: the exact CPL (skipped on the 20k-node graph,
+    // where the reference would run 20000 BFS).
+    if (f.g.num_nodes() <= 1000) source_counts.push_back(f.g.num_nodes());
+    for (int num_sources : source_counts) {
+      util::Rng ref_rng(1000 + num_sources);
+      const double want =
+          testing::RefCharacteristicPathLength(f.g, ref_rng, num_sources);
+      const uint64_t want_next = ref_rng.engine()();
+      for (int threads : {1, 2, 8}) {
+        testing::ScopedThreads scoped(threads);
+        util::Rng rng(1000 + num_sources);
+        const double got =
+            graph::CharacteristicPathLength(f.g, rng, num_sources);
+        EXPECT_TRUE(SameBits(got, want))
+            << f.name << " sources=" << num_sources << " threads=" << threads
+            << ": " << got << " vs " << want;
+        EXPECT_EQ(rng.engine()(), want_next)
+            << f.name << " sources=" << num_sources << " threads=" << threads;
+      }
+    }
   }
 }
 

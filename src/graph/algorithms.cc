@@ -1,8 +1,11 @@
 #include "graph/algorithms.h"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
+#include <span>
 
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -15,6 +18,82 @@ namespace {
 /// the value is a pure function of nothing — chunk boundaries never depend
 /// on the thread count.
 constexpr int64_t kNodeGrain = 64;
+
+/// Most chunks one NeighbourLinks call makes. Each chunk owns an n-bit mark
+/// set, so a call allocates at most 256 · n/8 = 32 bytes per node.
+constexpr int64_t kMaxLinkChunks = 256;
+
+/// Number of edges among the neighbours of each node (the triangles through
+/// it; 0 below degree 2). N(v) is marked in a bitset, and each u ∈ N(v)
+/// counts the marked entries of N(u) past u, so each linked pair {a < b} of
+/// N(v) is counted once, at u = a: the same integer as testing every pair
+/// with HasEdge. Per-node values are independent, so chunking never changes
+/// a result.
+std::vector<int64_t> NeighbourLinks(const Graph& g) {
+  const int64_t n = g.num_nodes();
+  std::vector<int64_t> links(n, 0);
+  const int64_t grain =
+      std::max(kNodeGrain, (n + kMaxLinkChunks - 1) / kMaxLinkChunks);
+  util::ParallelFor(0, n, grain, [&](int64_t v0, int64_t v1) {
+    std::vector<uint64_t> marked((n + 63) / 64, 0);
+    for (int64_t v = v0; v < v1; ++v) {
+      auto nbrs = g.neighbors(static_cast<int>(v));
+      if (nbrs.size() < 2) continue;
+      for (int w : nbrs) marked[w >> 6] |= uint64_t{1} << (w & 63);
+      const int last = nbrs.back();
+      int64_t count = 0;
+      for (int u : nbrs.first(nbrs.size() - 1)) {
+        auto un = g.neighbors(u);
+        for (auto it = std::upper_bound(un.begin(), un.end(), u);
+             it != un.end() && *it <= last; ++it) {
+          count += (marked[*it >> 6] >> (*it & 63)) & 1;
+        }
+      }
+      // Every set bit belongs to N(v), so zeroing its words clears them all.
+      for (int w : nbrs) marked[w >> 6] = 0;
+      links[v] = count;
+    }
+  });
+  return links;
+}
+
+/// Sum of BFS distances and number of reached (source, node) pairs over a
+/// BFS from every source at once (Then et al., "The More the Merrier",
+/// PVLDB 2014): bit i of a node's word stands for sources[i], so one sweep
+/// over the edges advances all of them a level. `nodes` lists the sources'
+/// component, which no BFS leaves.
+void MultiSourceBfs(const Graph& g, std::span<const int> nodes,
+                    std::span<const int> sources, int64_t& total,
+                    int64_t& pairs) {
+  CPGAN_CHECK_LE(sources.size(), 64u);
+  std::vector<uint64_t> seen(g.num_nodes(), 0);
+  std::vector<uint64_t> frontier(g.num_nodes(), 0);
+  std::vector<uint64_t> next(g.num_nodes(), 0);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    seen[sources[i]] = frontier[sources[i]] = uint64_t{1} << i;
+  }
+  total = 0;
+  pairs = 0;
+  for (int64_t level = 1;; ++level) {
+    for (int v : nodes) {
+      if (frontier[v] == 0) continue;
+      for (int w : g.neighbors(v)) next[w] |= frontier[v];
+    }
+    bool reached_any = false;
+    for (int v : nodes) {
+      const uint64_t reached = next[v] & ~seen[v];
+      next[v] = 0;
+      frontier[v] = reached;
+      if (reached == 0) continue;
+      reached_any = true;
+      seen[v] |= reached;
+      const int count = std::popcount(reached);
+      total += level * count;
+      pairs += count;
+    }
+    if (!reached_any) return;
+  }
+}
 
 }  // namespace
 
@@ -79,24 +158,15 @@ std::vector<int> LargestComponent(const Graph& g) {
 }
 
 std::vector<double> LocalClusteringCoefficients(const Graph& g) {
+  CPGAN_TRACE_SPAN("graph/clustering");
+  const std::vector<int64_t> links = NeighbourLinks(g);
   std::vector<double> coeffs(g.num_nodes(), 0.0);
-  // Each node's coefficient is independent (reads only, disjoint writes),
-  // so the result is identical for any thread count.
-  util::ParallelFor(0, g.num_nodes(), kNodeGrain, [&](int64_t v0, int64_t v1) {
-    for (int64_t v = v0; v < v1; ++v) {
-      auto nbrs = g.neighbors(static_cast<int>(v));
-      int d = static_cast<int>(nbrs.size());
-      if (d < 2) continue;
-      int64_t links = 0;
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        for (size_t j = i + 1; j < nbrs.size(); ++j) {
-          if (g.HasEdge(nbrs[i], nbrs[j])) ++links;
-        }
-      }
-      coeffs[v] = 2.0 * static_cast<double>(links) /
-                  (static_cast<double>(d) * (d - 1));
-    }
-  });
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    const int d = g.degree(v);
+    if (d < 2) continue;
+    coeffs[v] = 2.0 * static_cast<double>(links[v]) /
+                (static_cast<double>(d) * (d - 1));
+  }
   return coeffs;
 }
 
@@ -110,47 +180,38 @@ double AverageClusteringCoefficient(const Graph& g) {
 
 double CharacteristicPathLength(const Graph& g, util::Rng& rng,
                                 int num_sources) {
-  std::vector<int> comp = LargestComponent(g);
+  CPGAN_TRACE_SPAN("graph/cpl");
+  const std::vector<int> comp = LargestComponent(g);
   if (comp.size() < 2) return 0.0;
-  Graph sub = g.InducedSubgraph(comp);
-  int n = sub.num_nodes();
-  std::vector<int> sources;
-  if (n <= num_sources) {
-    sources.resize(n);
-    for (int i = 0; i < n; ++i) sources[i] = i;
-  } else {
+  // Sources are drawn as indices into comp (ascending node ids) and mapped
+  // to nodes. The BFS runs on g itself: none leaves the largest component.
+  const int n = static_cast<int>(comp.size());
+  std::vector<int> sources = comp;
+  if (n > num_sources) {
     sources = rng.SampleWithoutReplacement(n, num_sources);
+    for (int& s : sources) s = comp[s];
   }
-  // Sources are sampled serially above (fixed RNG stream position), then the
-  // BFS sweeps fan out. Each source writes its own slot, and the final
-  // accumulation walks sources in sampling order, so the value is identical
-  // for any thread count. Integer distance sums per source avoid FP order
-  // sensitivity entirely.
-  const int num_src = static_cast<int>(sources.size());
-  std::vector<int64_t> src_total(num_src, 0);
-  std::vector<int64_t> src_pairs(num_src, 0);
-  util::ParallelFor(0, num_src, 1, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      int s = sources[i];
-      std::vector<int> dist = BfsDistances(sub, s);
-      int64_t total = 0;
-      int64_t pairs = 0;
-      for (int v = 0; v < n; ++v) {
-        if (v == s) continue;
-        if (dist[v] > 0) {
-          total += dist[v];
-          ++pairs;
-        }
-      }
-      src_total[i] = total;
-      src_pairs[i] = pairs;
+  // One bit-parallel BFS per 64 sources. Every partial is an integer, and
+  // the batch partials are summed in batch order, so the value is identical
+  // for any thread count and equals the per-source sum while it stays
+  // below 2^53.
+  const std::span<const int> all(sources);
+  const int64_t num_batches = (static_cast<int64_t>(all.size()) + 63) / 64;
+  std::vector<int64_t> batch_total(num_batches, 0);
+  std::vector<int64_t> batch_pairs(num_batches, 0);
+  util::ParallelFor(0, num_batches, 1, [&](int64_t b0, int64_t b1) {
+    for (int64_t b = b0; b < b1; ++b) {
+      const size_t first = static_cast<size_t>(b) * 64;
+      const size_t count = std::min<size_t>(64, all.size() - first);
+      MultiSourceBfs(g, comp, all.subspan(first, count), batch_total[b],
+                     batch_pairs[b]);
     }
   });
   double total = 0.0;
   int64_t pairs = 0;
-  for (int i = 0; i < num_src; ++i) {
-    total += static_cast<double>(src_total[i]);
-    pairs += src_pairs[i];
+  for (int64_t b = 0; b < num_batches; ++b) {
+    total += static_cast<double>(batch_total[b]);
+    pairs += batch_pairs[b];
   }
   return pairs > 0 ? total / static_cast<double>(pairs) : 0.0;
 }
@@ -262,29 +323,10 @@ std::vector<int> CoreNumbers(const Graph& g) {
 }
 
 int64_t CountTriangles(const Graph& g) {
-  const int64_t num_chunks =
-      util::ThreadPool::NumChunks(0, g.num_nodes(), kNodeGrain);
-  std::vector<int64_t> partial(num_chunks, 0);
-  // Integer count: per-chunk partials summed in chunk order give the exact
-  // serial result for any thread count.
-  util::ParallelForChunked(
-      0, g.num_nodes(), kNodeGrain,
-      [&](int64_t u0, int64_t u1, int64_t chunk) {
-        int64_t triangles = 0;
-        for (int64_t u = u0; u < u1; ++u) {
-          auto nbrs = g.neighbors(static_cast<int>(u));
-          for (size_t i = 0; i < nbrs.size(); ++i) {
-            if (nbrs[i] <= u) continue;
-            for (size_t j = i + 1; j < nbrs.size(); ++j) {
-              if (g.HasEdge(nbrs[i], nbrs[j])) ++triangles;
-            }
-          }
-        }
-        partial[chunk] = triangles;
-      });
-  int64_t triangles = 0;
-  for (int64_t p : partial) triangles += p;
-  return triangles;
+  // Each triangle is a linked neighbour pair at each of its three corners.
+  int64_t corners = 0;
+  for (int64_t links : NeighbourLinks(g)) corners += links;
+  return corners / 3;
 }
 
 }  // namespace cpgan::graph

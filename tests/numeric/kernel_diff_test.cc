@@ -2,8 +2,9 @@
 // compiled kernel backend (scalar, and avx2 where the hardware has it),
 // against the naive double-accumulator references in
 // src/testing/diff_harness.h, on shapes that straddle the serial/blocked
-// flop cutoff and the 64-wide tile boundaries (63/64/65), and at 1, 2, and
-// 8 threads. Two contracts are enforced:
+// flop cutoff and the 64-wide tile boundaries (63/64/65), and on products
+// more than two j-tiles wide, at 1, 2, and 8 threads. Two contracts are
+// enforced:
 //   1. Accuracy: the optimized float result stays within a small relative
 //      tolerance of the double reference (summation order differs, bitwise
 //      equality is not expected). The tolerance is shared by all backends —
@@ -12,9 +13,9 @@
 //      BITWISE identical to the 1-thread result (the thread-pool blocking
 //      is static and per-element accumulation order is panel-independent).
 // MatmulNT is additionally pinned bit for bit to a plain-double replay of
-// each backend's dot-kernel order (MatmulNTKeepsDotOrder), and Transposed
-// to the naive reference, because the trained models depend on both
-// exactly. Every (backend, op) pair checked here is recorded in
+// each backend's dot-kernel order (MatmulNTKeepsDotOrder), MatmulTN to
+// Matmul of the transpose, and Transposed to the naive reference, because
+// the trained models depend on them exactly. Every (backend, op) pair checked here is recorded in
 // KernelCheckRegistry; kernel_coverage.cc fails this bundle if a backend
 // ships an op the sweep missed.
 
@@ -64,7 +65,10 @@ void MarkCovered(const std::string& backend, const std::string& op) {
 
 /// (n, k, m) triples mixing below-cutoff serial shapes with blocked shapes
 /// at tile boundaries. kSerialMatmulFlops = 1 << 15, so 16x16x16 (8K flops)
-/// stays serial while 65x65x65 (~549K) takes the blocked path.
+/// stays serial while 65x65x65 (~549K) takes the blocked path. The last two
+/// are more than two 128-wide j-tiles wide, so B is packed into a second and
+/// a third j-tile; their last tiles are 44 columns (the avx2 32-wide, 8-wide
+/// and scalar paths in turn) and 1 column (the scalar path alone).
 std::vector<std::array<int, 3>> MatmulShapes() {
   std::vector<std::array<int, 3>> shapes = {
       {1, 1, 1},    // degenerate
@@ -76,8 +80,17 @@ std::vector<std::array<int, 3>> MatmulShapes() {
       {64, 64, 64},  // exact tiles
       {65, 63, 64},
       {127, 65, 63},  // two tiles + remainder in each dim
+      {130, 70, 300},  // three j-tiles, 32+8+4-column tail
+      {65, 33, 257},   // three j-tiles, 1-column tail
   };
   return shapes;
+}
+
+/// Plants exact 0.0f and -0.0f in `a`, entries the serial product skips.
+void PlantZeros(t::Matrix& a) {
+  for (int64_t i = 0; i < a.size(); i += 5) {
+    a.data()[i] = i % 2 == 0 ? 0.0f : -0.0f;
+  }
 }
 
 TEST(KernelDiff, Matmul) {
@@ -113,8 +126,10 @@ TEST(KernelDiff, MatmulTN) {
   for (const std::string& backend : BackendNames()) {
     ScopedBackend backend_scope(backend);
     for (auto [n, k, m] : MatmulShapes()) {
-      // A is k x n, result is A^T B = n x m.
+      // A is k x n, result is A^T B = n x m. MatmulTN must be exactly the
+      // plain product of the transpose, at every size.
       t::Matrix a = RandomMatrix(k, n, 3000 + n * 31 + k);
+      PlantZeros(a);
       t::Matrix b = RandomMatrix(k, m, 4000 + k * 31 + m);
       t::Matrix want = RefMatmulTN(a, b);
 
@@ -126,6 +141,9 @@ TEST(KernelDiff, MatmulTN) {
         EXPECT_LT(stats.max_rel_diff, kTol)
             << backend << " MatmulTN " << n << "x" << k << "x" << m << " @"
             << threads << " threads: " << stats.Summary();
+        EXPECT_TRUE(BitwiseEqual(got, t::Matmul(a.Transposed(), b)))
+            << backend << " MatmulTN " << n << "x" << k << "x" << m << " @"
+            << threads << " threads differs from Matmul of the transpose";
         if (threads == Threads().front()) {
           first = got;
         } else {

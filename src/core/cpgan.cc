@@ -120,9 +120,6 @@ class TraceFlagsGuard {
 constexpr int kDiscStream = 0;
 constexpr int kGenStream = 1;
 
-/// Cpgan trains with the guard's defaults.
-constexpr train::GuardConfig kGuardConfig{};
-
 /// The encoder's normalized adjacency of `g` (Section III-C1).
 std::shared_ptr<t::SparseMatrix> EncoderAdjacency(const graph::Graph& g,
                                                   bool two_hop) {
@@ -481,7 +478,7 @@ Cpgan::TrainState::TrainState(Cpgan& m)
       opt_g(params_g_slow, config.learning_rate),
       opt_g_fast(params_g_fast,
                  config.learning_rate * config.fast_lr_multiplier),
-      guard(kGuardConfig, params_all),
+      guard(params_all),
       arch_hash(m.ArchitectureHash()),
       checkpointing(!config.checkpoint_dir.empty() &&
                     config.checkpoint_every > 0),
@@ -687,7 +684,7 @@ float Cpgan::TrainState::GuardedUpdate(const t::Tensor& loss, int stream,
   } else {
     // The epoch continues with the restored weights.
     guard.Recover();
-    DecayLearningRates(kGuardConfig.lr_decay_on_recovery);
+    DecayLearningRates(train::kLrDecayOnRecovery);
     ++stats.recoveries;
     ++counters.trips;
     if (guard.has_snapshot()) ++counters.rollbacks;

@@ -187,9 +187,10 @@ graph::Graph HierAssembleGraph(const CommunitySkeleton& skeleton,
     if (!stopped && assembly.should_abort) stopped = assembly.should_abort();
     return stopped;
   };
+  // Communities (and stitch block pairs) per wave: one per pool thread, so
+  // each wave is one ThreadPool fan-out.
   util::ThreadPool& pool = util::ThreadPool::Global();
-  const int wave =
-      options.wave_size > 0 ? options.wave_size : pool.num_threads();
+  const int wave = pool.num_threads();
 
   // ----- Intra-community decodes, fanned out in waves. Each community is
   // its own AssembleGraph on its own RNG stream; per-community abort flags

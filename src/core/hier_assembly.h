@@ -63,10 +63,6 @@ struct HierAssemblyOptions {
   /// local flag, so no two threads write it).
   AssemblyOptions assembly;
 
-  /// Communities (and stitch block pairs) processed per wave; each wave is
-  /// one ThreadPool fan-out. 0 = the global pool's thread count.
-  int wave_size = 0;
-
   /// Base of the per-community (and per-block-pair) RNG streams: community
   /// c draws from Rng(mix(seed, c)), block pair (a, b) from
   /// Rng(mix(seed, C + pair_index)). Streams never interact, which is what

@@ -38,17 +38,10 @@ struct ServerOptions {
   /// unlimited. Workers poll it at phase boundaries (docs/SERVING.md).
   double default_deadline_ms = 0.0;
 
-  /// Degradation ladder, driven by max(queue fraction, memory pressure):
-  /// at `soft_pressure` the assembly batch shrinks (response still ok); at
-  /// `heavy_pressure` generation runs reduced-fidelity (smaller batch, fewer
-  /// assembly passes) and the response is flagged degraded. The batch sizes
-  /// and the pass cap are fixed in serve/server.cc.
-  double soft_pressure = 0.5;
-  double heavy_pressure = 0.85;
-
   /// Advisory tensor-memory budget installed into util::MemoryTracker at
-  /// Start (feeds the pressure ladder). 0 keeps the tracker's current
-  /// budget.
+  /// Start. With the queue's occupancy it drives the degradation ladder,
+  /// whose thresholds, batch sizes and pass cap are fixed in
+  /// serve/server.cc. 0 keeps the tracker's current budget.
   int64_t memory_budget_bytes = 0;
 
   /// Retry schedule for transient I/O (output writes, request-log appends)

@@ -1,14 +1,12 @@
 #include "tensor/kernels.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <string>
 
 #include "obs/metrics.h"
 #include "tensor/kernels_backends.h"
-#include "util/aligned.h"
 #include "util/cpuid.h"
 #include "util/logging.h"
 
@@ -18,9 +16,6 @@ namespace {
 
 std::mutex g_select_mutex;
 std::atomic<const KernelOps*> g_active{nullptr};
-
-std::mutex g_tile_mutex;
-std::atomic<int> g_tile_cols{0};
 
 const KernelOps* FindAvailable(std::string_view name) {
   for (const KernelOps* ops : AvailableBackends()) {
@@ -61,56 +56,6 @@ const KernelOps* SelectFromEnvironment() {
                        << AvailableBackendNames() << "); auto-detecting";
   }
   return AutoDetect();
-}
-
-/// Times `ops.matmul_tile` at width `jb` over a synthetic hot tile and
-/// returns nanoseconds per multiply-add (lower is better). Serial on the
-/// calling thread; the sweep never touches the thread pool.
-double TimeTileWidth(const KernelOps& ops, int jb) {
-  constexpr int kTileK = 64;  // matches the fixed k-tile in matrix.cc
-  util::AlignedFloats a, tile, out;
-  a.assign(kTileK, 0.5f);
-  tile.assign(static_cast<int64_t>(kTileK) * jb, 0.25f);
-  out.assign(jb, 0.0f);
-  const int64_t flops_per_call = static_cast<int64_t>(kTileK) * jb;
-  const int calls = static_cast<int>((int64_t{1} << 22) / flops_per_call) + 1;
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < calls; ++i) {
-      ops.matmul_tile(a.data(), tile.data(), out.data(), kTileK, jb);
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(end - start).count() /
-        (static_cast<double>(calls) * flops_per_call);
-    if (rep == 0 || ns < best) best = ns;
-  }
-  return best;
-}
-
-/// Sweeps AutotuneCandidates() and returns the fastest width. The choice
-/// only moves wall-clock: per-element accumulation order is fixed by the k
-/// loop, so every candidate yields bitwise-identical products (pinned by
-/// tests/numeric/kernel_backend_test.cc).
-int AutotuneTileCols(const KernelOps& ops) {
-  int best_width = AutotuneCandidates().front();
-  double best_ns = 0.0;
-  for (int width : AutotuneCandidates()) {
-    const double ns = TimeTileWidth(ops, width);
-    if (best_ns == 0.0 || ns < best_ns) {
-      best_ns = ns;
-      best_width = width;
-    }
-  }
-  CPGAN_LOG(Info) << "kernel autotuner: matmul tile width " << best_width
-                  << " (" << best_ns << " ns/flop, backend " << ops.name
-                  << ")";
-  return best_width;
-}
-
-void PublishTileCols(int cols) {
-  CPGAN_GAUGE_SET("kernels.matmul_tile_cols", cols);
 }
 
 }  // namespace
@@ -182,51 +127,6 @@ void ReselectFromEnvironment() {
   const KernelOps* ops = SelectFromEnvironment();
   g_active.store(ops, std::memory_order_release);
   PublishSelection(*ops);
-}
-
-const std::vector<int>& AutotuneCandidates() {
-  static const std::vector<int> candidates = {32, 64, 128, 256};
-  return candidates;
-}
-
-int MatmulTileCols() {
-  int cols = g_tile_cols.load(std::memory_order_acquire);
-  if (cols > 0) return cols;
-  // Resolve the backend before taking the tile lock (Active() takes the
-  // selection lock; holding both in a fixed order avoids any deadlock).
-  const KernelOps& ops = Active();
-  std::lock_guard<std::mutex> lock(g_tile_mutex);
-  cols = g_tile_cols.load(std::memory_order_relaxed);
-  if (cols > 0) return cols;
-  const char* env = std::getenv("CPGAN_KERNEL_TILE_COLS");
-  if (env != nullptr && *env != '\0') {
-    const int parsed = std::atoi(env);
-    if (parsed > 0 && parsed % 8 == 0) {
-      cols = parsed;
-    } else {
-      CPGAN_LOG(Warning) << "CPGAN_KERNEL_TILE_COLS='" << env
-                         << "' is not a positive multiple of 8; autotuning";
-    }
-  }
-  if (cols == 0) cols = AutotuneTileCols(ops);
-  g_tile_cols.store(cols, std::memory_order_release);
-  PublishTileCols(cols);
-  return cols;
-}
-
-void SetMatmulTileCols(int cols) {
-  std::lock_guard<std::mutex> lock(g_tile_mutex);
-  if (cols <= 0) {
-    g_tile_cols.store(0, std::memory_order_release);
-    return;
-  }
-  if (cols % 8 != 0) {
-    CPGAN_LOG(Warning) << "SetMatmulTileCols(" << cols
-                       << ") ignored: width must be a multiple of 8";
-    return;
-  }
-  g_tile_cols.store(cols, std::memory_order_release);
-  PublishTileCols(cols);
 }
 
 }  // namespace cpgan::tensor::kernels

@@ -48,9 +48,8 @@ struct KernelOps {
   /// Matmul macro-kernel: out[0..jb) += sum_{r<kb} a[r] * tile[r*jb + 0..jb)
   /// for one output row against one packed B tile (tile rows are stored
   /// contiguously with stride jb). Per output element the accumulation runs
-  /// in ascending r, so the result does not depend on the j-tile width —
-  /// which is what lets the autotuner pick the width freely (see
-  /// MatmulTileCols) without perturbing a single bit.
+  /// in ascending r, so the result does not depend on the j-tile width
+  /// (kTileCols in matrix.cc): no width perturbs a single bit.
   void (*matmul_tile)(const float* a, const float* tile, float* out, int kb,
                       int jb);
 
@@ -118,27 +117,6 @@ void ReselectFromEnvironment();
 /// Names of every registered backend (available on this machine), for help
 /// text and error messages.
 std::string AvailableBackendNames();
-
-// ---------------------------------------------------------------------------
-// Matmul tile autotuner.
-// ---------------------------------------------------------------------------
-
-/// The j-tile width (packed B tile columns) used by the blocked matmul.
-/// Resolution order, once per process: CPGAN_KERNEL_TILE_COLS env var if it
-/// parses to a positive multiple of 8, else a timing sweep of
-/// AutotuneCandidates() over the active backend's matmul_tile micro-kernel
-/// (cached; the winning width goes to the kernels.matmul_tile_cols gauge).
-/// The width is a pure performance knob: per-element accumulation order is
-/// fixed by the k loop, so any width gives bitwise-identical products —
-/// pinned by tests/numeric/kernel_backend_test.cc.
-int MatmulTileCols();
-
-/// Overrides the tile width (tests, benchmarks). `cols` must be a positive
-/// multiple of 8; 0 clears the cache so the next MatmulTileCols() re-tunes.
-void SetMatmulTileCols(int cols);
-
-/// Candidate widths the autotuner sweeps.
-const std::vector<int>& AutotuneCandidates();
 
 }  // namespace cpgan::tensor::kernels
 

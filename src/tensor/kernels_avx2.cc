@@ -30,8 +30,8 @@ void Avx2MatmulTile(const float* a, const float* tile, float* out, int kb,
   const int64_t stride = jb;
   int j = 0;
   // 4 accumulator registers (32 output columns) held across the whole
-  // k-tile: the dominant case for the autotuned widths, one load/store of C
-  // per 32x64 block instead of one per k step.
+  // k-tile: the dominant case for 128-wide tiles, one load/store of C per
+  // 32x64 block instead of one per k step.
   for (; j + 32 <= jb; j += 32) {
     float* o = out + j;
     __m256 c0 = _mm256_loadu_ps(o);

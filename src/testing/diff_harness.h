@@ -82,7 +82,7 @@ tensor::Matrix RandomMatrix(int rows, int cols, uint64_t seed,
 tensor::SparseMatrix RandomSparse(int rows, int cols, double density,
                                   uint64_t seed);
 
-/// Dimensions straddling the kernel tile boundaries (kTileRows/K/Cols = 64)
+/// Dimensions straddling the kernel tile boundaries (kTileRows/kTileK = 64)
 /// and degenerate edges: {1, 2, 31, 63, 64, 65, 127}.
 const std::vector<int>& BoundaryDims();
 

@@ -6,6 +6,17 @@
 #include "tensor/ops.h"
 
 namespace cpgan::train {
+namespace {
+
+/// Number of recent good-step losses kept per stream as the explosion
+/// reference.
+constexpr int kLossWindow = 16;
+
+/// A step is rejected as an explosion when |loss| exceeds this multiple of
+/// the mean absolute loss over a full window.
+constexpr float kExplosionFactor = 25.0f;
+
+}  // namespace
 
 const char* StepVerdictName(StepVerdict verdict) {
   switch (verdict) {
@@ -21,27 +32,24 @@ const char* StepVerdictName(StepVerdict verdict) {
   return "unknown";
 }
 
-TrainingGuard::TrainingGuard(const GuardConfig& config,
-                             std::vector<tensor::Tensor> params)
-    : config_(config), params_(std::move(params)) {}
+TrainingGuard::TrainingGuard(std::vector<tensor::Tensor> params)
+    : params_(std::move(params)) {}
 
 StepVerdict TrainingGuard::Inspect(
     float loss, const std::vector<tensor::Tensor>& step_params,
     int stream) const {
-  if (!config_.enabled) return StepVerdict::kOk;
   if (!std::isfinite(loss)) return StepVerdict::kNonFiniteLoss;
   if (!tensor::GradsFinite(step_params)) return StepVerdict::kNonFiniteGrad;
-  if (config_.explosion_factor > 0.0f && stream >= 0 &&
-      stream < static_cast<int>(recent_losses_.size())) {
+  if (stream >= 0 && stream < static_cast<int>(recent_losses_.size())) {
     const std::deque<float>& window = recent_losses_[stream];
-    if (static_cast<int>(window.size()) >= config_.window) {
+    if (static_cast<int>(window.size()) >= kLossWindow) {
       double mean_abs = 0.0;
       for (float l : window) mean_abs += std::fabs(l);
       mean_abs /= static_cast<double>(window.size());
       // Floor the reference so near-zero converged losses don't turn
       // ordinary fluctuation into false explosions.
       mean_abs = std::max(mean_abs, 1e-3);
-      if (std::fabs(loss) > config_.explosion_factor * mean_abs) {
+      if (std::fabs(loss) > kExplosionFactor * mean_abs) {
         return StepVerdict::kLossExplosion;
       }
     }
@@ -50,13 +58,13 @@ StepVerdict TrainingGuard::Inspect(
 }
 
 void TrainingGuard::CommitGood(float loss, int stream) {
-  if (!config_.enabled || stream < 0) return;
+  if (stream < 0) return;
   if (stream >= static_cast<int>(recent_losses_.size())) {
     recent_losses_.resize(stream + 1);
   }
   std::deque<float>& window = recent_losses_[stream];
   window.push_back(loss);
-  while (static_cast<int>(window.size()) > config_.window) {
+  while (static_cast<int>(window.size()) > kLossWindow) {
     window.pop_front();
   }
   if (snapshot_.size() != params_.size()) snapshot_.resize(params_.size());

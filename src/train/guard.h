@@ -9,24 +9,9 @@
 
 namespace cpgan::train {
 
-/// Knobs for the numeric training guard (Cpgan trains with the defaults).
-struct GuardConfig {
-  /// Master switch; a disabled guard approves every step and never snapshots.
-  bool enabled = true;
-
-  /// Number of recent good-step losses kept for the explosion reference.
-  int window = 16;
-
-  /// A step is rejected as an explosion when |loss| exceeds this multiple of
-  /// the rolling mean absolute loss over a *full* window. <= 0 disables the
-  /// explosion check (non-finite checks still apply).
-  float explosion_factor = 25.0f;
-
-  /// Learning-rate multiplier the caller should apply to its optimizers after
-  /// each recovery (1 = keep the rate). The guard itself does not own the
-  /// optimizers; Cpgan reads this knob.
-  float lr_decay_on_recovery = 0.5f;
-};
+/// Learning-rate multiplier Cpgan applies to its optimizers after each
+/// recovery. The guard itself does not own the optimizers.
+inline constexpr float kLrDecayOnRecovery = 0.5f;
 
 /// Why a step was rejected.
 enum class StepVerdict {
@@ -56,13 +41,16 @@ class TrainingGuard {
  public:
   /// `params` is the full guarded parameter set (snapshot/restore target);
   /// per-step gradient checks run on the subset passed to Inspect.
-  TrainingGuard(const GuardConfig& config, std::vector<tensor::Tensor> params);
+  explicit TrainingGuard(std::vector<tensor::Tensor> params);
 
   /// Judges the step about to be applied. `loss` is the freshly
-  /// backpropagated scalar; gradients are read from `step_params`. `stream`
-  /// selects an independent explosion window — losses of different
-  /// magnitudes (e.g. discriminator vs generator) must not share a
-  /// reference; the snapshot is shared across streams.
+  /// backpropagated scalar; gradients are read from `step_params`. A step
+  /// is a loss explosion when |loss| exceeds 25 times the mean absolute
+  /// loss of the stream's last 16 good steps, checked once that window is
+  /// full (kExplosionFactor and kLossWindow in guard.cc). `stream` selects an
+  /// independent window — losses of different magnitudes (e.g.
+  /// discriminator vs generator) must not share a reference; the snapshot
+  /// is shared across streams.
   StepVerdict Inspect(float loss,
                       const std::vector<tensor::Tensor>& step_params,
                       int stream = 0) const;
@@ -81,7 +69,6 @@ class TrainingGuard {
   bool has_snapshot() const { return has_snapshot_; }
 
  private:
-  GuardConfig config_;
   std::vector<tensor::Tensor> params_;
   std::vector<tensor::Matrix> snapshot_;
   bool has_snapshot_ = false;

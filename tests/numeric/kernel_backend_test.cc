@@ -1,4 +1,4 @@
-// Backend dispatch and autotuner contract tests:
+// Backend dispatch contract tests:
 //  * CPGAN_KERNEL_BACKEND forces the named backend — in particular
 //    "scalar" wins even on a machine where CPUID detects AVX2 (the
 //    regression that would silently re-enable SIMD under a forced-scalar
@@ -6,10 +6,9 @@
 //  * names of backends not available here fall back to auto-detection
 //    instead of failing startup;
 //  * SetBackend rejects such names and lists the available backends;
-//  * the autotuned matmul tile width is a pure performance knob: every
-//    candidate width (and odd non-candidate widths) yields a BITWISE
-//    identical product within a backend;
 //  * Matrix storage honors the 64-byte kernel alignment contract.
+// The matmul's packed j-tiles, second and later ones included, are checked
+// against the references by the multi-tile shapes of kernel_diff_test.cc.
 
 #include <cstdlib>
 #include <cstdint>
@@ -20,7 +19,6 @@
 
 #include "tensor/kernels.h"
 #include "tensor/matrix.h"
-#include "testing/diff_harness.h"
 #include "util/aligned.h"
 #include "util/cpuid.h"
 
@@ -104,58 +102,6 @@ TEST(KernelBackend, SetBackendRejectsUnknownName) {
               std::string::npos)
         << error;
   }
-}
-
-TEST(KernelBackend, TileWidthNeverChangesABit) {
-  // 127x65x129: straddles the k-tile boundary and exercises the 32-wide,
-  // 8-wide, and scalar-tail column paths for every candidate width.
-  t::Matrix a = RandomMatrix(127, 65, 11000);
-  t::Matrix b = RandomMatrix(65, 129, 12000);
-  for (const k::KernelOps* ops : k::AvailableBackends()) {
-    ScopedBackend backend_scope(ops->name);
-    k::SetMatmulTileCols(k::AutotuneCandidates().front());
-    t::Matrix baseline = t::Matmul(a, b);
-    std::vector<int> widths(k::AutotuneCandidates());
-    widths.push_back(8);    // narrower than any candidate
-    widths.push_back(520);  // wider than the whole output
-    for (int width : widths) {
-      k::SetMatmulTileCols(width);
-      EXPECT_EQ(k::MatmulTileCols(), width);
-      t::Matrix got = t::Matmul(a, b);
-      EXPECT_TRUE(BitwiseEqual(got, baseline))
-          << ops->name << ": tile width " << width
-          << " changed the product bitwise";
-    }
-    k::SetMatmulTileCols(0);  // back to autotuned for later tests
-  }
-}
-
-TEST(KernelBackend, NonMultipleOfEightTileWidthIgnored) {
-  k::SetMatmulTileCols(64);
-  EXPECT_EQ(k::MatmulTileCols(), 64);
-  k::SetMatmulTileCols(60);  // warned and ignored
-  EXPECT_EQ(k::MatmulTileCols(), 64);
-  k::SetMatmulTileCols(0);
-}
-
-TEST(KernelBackend, AutotunerPicksACandidate) {
-  k::SetMatmulTileCols(0);
-  // No CPGAN_KERNEL_TILE_COLS in the test environment, so this resolves via
-  // the sweep; the result must be one of the candidates and must stick.
-  ::unsetenv("CPGAN_KERNEL_TILE_COLS");
-  const int chosen = k::MatmulTileCols();
-  bool is_candidate = false;
-  for (int c : k::AutotuneCandidates()) is_candidate |= (chosen == c);
-  EXPECT_TRUE(is_candidate) << chosen;
-  EXPECT_EQ(k::MatmulTileCols(), chosen);  // cached, no second sweep
-}
-
-TEST(KernelBackend, TileColsEnvOverride) {
-  k::SetMatmulTileCols(0);
-  ::setenv("CPGAN_KERNEL_TILE_COLS", "48", 1);
-  EXPECT_EQ(k::MatmulTileCols(), 48);
-  ::unsetenv("CPGAN_KERNEL_TILE_COLS");
-  k::SetMatmulTileCols(0);
 }
 
 TEST(KernelBackend, MatrixStorageIs64ByteAligned) {

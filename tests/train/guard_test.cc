@@ -35,14 +35,14 @@ void TouchGrads(const std::vector<t::Tensor>& params) {
 TEST(GuardTest, ApprovesFiniteStep) {
   auto params = MakeParams(2, 1.0f);
   TouchGrads(params);
-  TrainingGuard guard(GuardConfig{}, params);
+  TrainingGuard guard(params);
   EXPECT_EQ(guard.Inspect(0.5f, params), StepVerdict::kOk);
 }
 
 TEST(GuardTest, RejectsNonFiniteLoss) {
   auto params = MakeParams(1, 1.0f);
   TouchGrads(params);
-  TrainingGuard guard(GuardConfig{}, params);
+  TrainingGuard guard(params);
   EXPECT_EQ(guard.Inspect(kNan, params), StepVerdict::kNonFiniteLoss);
   EXPECT_EQ(guard.Inspect(kInf, params), StepVerdict::kNonFiniteLoss);
   EXPECT_EQ(guard.Inspect(-kInf, params), StepVerdict::kNonFiniteLoss);
@@ -51,24 +51,28 @@ TEST(GuardTest, RejectsNonFiniteLoss) {
 TEST(GuardTest, RejectsNonFiniteGradientInjectedByFaultPlan) {
   auto params = MakeParams(3, 1.0f);
   TouchGrads(params);
-  TrainingGuard guard(GuardConfig{}, params);
+  TrainingGuard guard(params);
   ASSERT_EQ(guard.Inspect(0.5f, params), StepVerdict::kOk);
   PoisonGradient(params, 1);
   EXPECT_EQ(guard.Inspect(0.5f, params), StepVerdict::kNonFiniteGrad);
 }
 
 TEST(GuardTest, DetectsLossExplosionOncePerStreamWindowIsFull) {
-  GuardConfig config;
-  config.window = 4;
-  config.explosion_factor = 10.0f;
+  // The guard's window is 16 good losses and its factor 25.
   auto params = MakeParams(1, 1.0f);
   TouchGrads(params);
-  TrainingGuard guard(config, params);
+  TrainingGuard guard(params);
   // Window not full yet: large losses pass the explosion check.
   EXPECT_EQ(guard.Inspect(1e6f, params, 0), StepVerdict::kOk);
-  for (int i = 0; i < 4; ++i) guard.CommitGood(1.0f, 0);
-  EXPECT_EQ(guard.Inspect(2.0f, params, 0), StepVerdict::kOk);
-  EXPECT_EQ(guard.Inspect(50.0f, params, 0), StepVerdict::kLossExplosion);
+  for (int i = 0; i < 15; ++i) guard.CommitGood(1.0f, 0);
+  EXPECT_EQ(guard.Inspect(1e6f, params, 0), StepVerdict::kOk);
+  guard.CommitGood(1.0f, 0);
+  EXPECT_EQ(guard.Inspect(25.0f, params, 0), StepVerdict::kOk);
+  EXPECT_EQ(guard.Inspect(26.0f, params, 0), StepVerdict::kLossExplosion);
+  // The window slides: 16 more good losses of 4 raise the reference to 4.
+  for (int i = 0; i < 16; ++i) guard.CommitGood(4.0f, 0);
+  EXPECT_EQ(guard.Inspect(100.0f, params, 0), StepVerdict::kOk);
+  EXPECT_EQ(guard.Inspect(101.0f, params, 0), StepVerdict::kLossExplosion);
   // Stream 1 has its own (empty) window: no explosion there.
   EXPECT_EQ(guard.Inspect(50.0f, params, 1), StepVerdict::kOk);
 }
@@ -76,7 +80,7 @@ TEST(GuardTest, DetectsLossExplosionOncePerStreamWindowIsFull) {
 TEST(GuardTest, RecoverRestoresLastGoodSnapshot) {
   auto params = MakeParams(2, 1.0f);
   TouchGrads(params);
-  TrainingGuard guard(GuardConfig{}, params);
+  TrainingGuard guard(params);
   guard.CommitGood(0.5f);
   ASSERT_TRUE(guard.has_snapshot());
   // Corrupt the live parameters, as a bad step would.
@@ -94,22 +98,10 @@ TEST(GuardTest, RecoverRestoresLastGoodSnapshot) {
 
 TEST(GuardTest, RecoverWithoutSnapshotLeavesParamsAlone) {
   auto params = MakeParams(1, 3.0f);
-  TrainingGuard guard(GuardConfig{}, params);
+  TrainingGuard guard(params);
   EXPECT_FALSE(guard.Recover());
   EXPECT_EQ(guard.recoveries(), 1);
   EXPECT_FLOAT_EQ(params[0].value().At(0, 0), 3.0f);
-}
-
-TEST(GuardTest, DisabledGuardApprovesEverything) {
-  GuardConfig config;
-  config.enabled = false;
-  auto params = MakeParams(1, 1.0f);
-  TouchGrads(params);
-  PoisonGradient(params, 0);
-  TrainingGuard guard(config, params);
-  EXPECT_EQ(guard.Inspect(kNan, params), StepVerdict::kOk);
-  guard.CommitGood(1.0f);
-  EXPECT_FALSE(guard.has_snapshot());
 }
 
 TEST(GuardTest, FiniteCheckHelpers) {

@@ -5,12 +5,14 @@
 
 #include "serve/server.h"
 
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -325,18 +327,31 @@ TEST_F(ServerTest, RequestLogRecordsEveryResponse) {
   Server server(&SharedServeRegistry(), options);
   server.Start();
   server.Submit(Request{});
+  // ParseRequest accepts any non-empty model name, JSON metacharacters too.
   Request bad;
-  bad.model = "nope";
+  bad.model = "we\"ird\\";
   server.Submit(bad);
   server.Stop();
 
-  std::string log = SlurpFile(options.request_log);
-  ASSERT_FALSE(log.empty());
-  int lines = 0;
-  for (char c : log) lines += c == '\n';
-  EXPECT_EQ(lines, 2);
-  EXPECT_NE(log.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(log.find("\"status\":\"error\""), std::string::npos);
+  std::istringstream log(SlurpFile(options.request_log));
+  std::vector<obs::JsonValue> records;
+  for (std::string line; std::getline(log, line);) {
+    obs::JsonValue record;
+    std::string error;
+    ASSERT_TRUE(obs::JsonValue::Parse(line, &record, &error))
+        << error << " in " << line;
+    records.push_back(std::move(record));
+  }
+  ASSERT_EQ(records.size(), 2u);
+  std::vector<std::string> statuses, models;
+  for (const obs::JsonValue& record : records) {
+    ASSERT_NE(record.Find("status"), nullptr);
+    ASSERT_NE(record.Find("model"), nullptr);
+    statuses.push_back(record.Find("status")->string_value());
+    models.push_back(record.Find("model")->string_value());
+  }
+  EXPECT_EQ(statuses, (std::vector<std::string>{"ok", "error"}));
+  EXPECT_EQ(models, (std::vector<std::string>{"default", bad.model}));
 }
 
 TEST_F(ServerTest, StatsCountersAddUp) {

@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -425,8 +426,36 @@ SubgraphScorer PairScorer(std::function<float(int, int)> score) {
   };
 }
 
+/// Index of the pair u < v among the n(n-1)/2 pairs in (u, v) order.
+int PairIndex(int n, int u, int v) { return u * (2 * n - u - 1) / 2 + v - u - 1; }
+
+/// Runs AssembleGraph and FullSortAssemble from the same seed and expects
+/// the same edges and the same number of RNG draws. Returns whether some
+/// fill read past its first quota + k entries.
+bool ExpectMatchesFullSort(const std::string& name, int n, int subgraph,
+                           int64_t target, const SubgraphScorer& scorer) {
+  AssemblyOptions options;
+  options.subgraph_size = subgraph;
+  util::Rng rng(41);
+  util::Rng ref_rng(41);
+  bool past_first_block = false;
+  const graph::Graph got = AssembleGraph(n, target, scorer, options, rng);
+  const graph::Graph want =
+      FullSortAssemble(n, target, scorer, options, ref_rng, &past_first_block);
+  EXPECT_EQ(got.Edges(), want.Edges())
+      << name << " n " << n << " subgraph " << subgraph << " target "
+      << target;
+  // Both consumed the same draws.
+  EXPECT_EQ(rng.engine()(), ref_rng.engine()())
+      << name << " n " << n << " subgraph " << subgraph << " target "
+      << target;
+  return past_first_block;
+}
+
 TEST(AssemblyTest, BlockSelectionMatchesFullSort) {
   const int n = 64;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
   const std::pair<const char*, SubgraphScorer> scorers[] = {
       // A few quantized levels: most keys tie with many others.
       {"quantized", PairScorer([](int u, int v) {
@@ -448,29 +477,97 @@ TEST(AssemblyTest, BlockSelectionMatchesFullSort) {
       {"shared top", PairScorer([](int u, int v) {
          return 1.0f / (1.0f + static_cast<float>((u + v) / 8));
        })},
+      // Values no decoder emits. The fill's key max(1e-9, p) sends NaN,
+      // -inf, -1, -0.0f, +0.0f, denormals and 1e-9f (just under 1e-9 as a
+      // double) to the floor; its float neighbour above 1e-9 keeps its own
+      // key, and +inf outranks every finite key. The categorical weight
+      // max(0, p) zeroes NaN and the negatives; a row holding +inf (nodes
+      // 0 and 3 mod 7, when the pair shares a chunk) has an infinite
+      // total, so its draw lands on its last positive entry.
+      {"hostile", PairScorer([nan, inf](int u, int v) {
+         if (u % 7 == 0 && v == u + 3) return inf;
+         const float values[] = {nan,
+                                 -inf,
+                                 -1.0f,
+                                 -0.0f,
+                                 0.0f,
+                                 1e-40f,
+                                 std::numeric_limits<float>::denorm_min(),
+                                 std::nextafter(1e-9f, 0.0f),
+                                 1e-9f,
+                                 std::nextafter(1e-9f, 1.0f),
+                                 3e-9f,
+                                 0.25f,
+                                 0.75f,
+                                 1.0f};
+         return values[(u * 5 + v * 3) % 14];
+       })},
+      // Nodes 0 mod 4 have no mass (0, -0, NaN or -1 everywhere). A node
+      // 1 mod 4 has one positive entry, at its partner u + 1, so its row
+      // has a single positive weight when both share a chunk and no mass
+      // otherwise. Nodes 2 and 3 mod 4 score each other.
+      {"sparse rows", PairScorer([nan](int u, int v) {
+         if (u % 4 == 0 || v % 4 == 0) {
+           const float empty[] = {0.0f, -0.0f, nan, -1.0f};
+           return empty[(u + v) % 4];
+         }
+         if (u % 4 == 1 || v % 4 == 1) return v == u + 1 ? 0.6f : 0.0f;
+         return 0.05f * static_cast<float>((u * v) % 7 + 1);
+       })},
+      // Every pair has its own key, (1 + m/16) * 2^e, falling in pair
+      // order, so keys differ in the exponent or the top four mantissa
+      // bits: a selection that buckets keys by their top 12 or more bits
+      // finds each pair alone in its bucket, and its first range holds
+      // exactly quota + k keys. The low-id pairs rank first in every chunk,
+      // so later passes find that range taken.
+      {"distinct", PairScorer([](int u, int v) {
+         const int p = PairIndex(n, u, v);
+         return std::ldexp(1.0f + static_cast<float>(15 - p % 16) / 16.0f,
+                           127 - p / 16);
+       })},
   };
   bool saw_second_block = false;
   for (const auto& [name, scorer] : scorers) {
+    bool scorer_second_block = false;
     for (int subgraph : {n, 32, 16}) {
       for (int64_t target : {40, 300, 900}) {
-        AssemblyOptions options;
-        options.subgraph_size = subgraph;
-        util::Rng rng(41);
-        util::Rng ref_rng(41);
-        bool past_first_block = false;
-        const graph::Graph got = AssembleGraph(n, target, scorer, options, rng);
-        const graph::Graph want = FullSortAssemble(
-            n, target, scorer, options, ref_rng, &past_first_block);
-        saw_second_block = saw_second_block || past_first_block;
-        EXPECT_EQ(got.Edges(), want.Edges())
-            << name << " subgraph " << subgraph << " target " << target;
-        // Both consumed the same draws.
-        EXPECT_EQ(rng.engine()(), ref_rng.engine()());
+        scorer_second_block |=
+            ExpectMatchesFullSort(name, n, subgraph, target, scorer);
       }
     }
+    if (std::string(name) == "distinct") {
+      EXPECT_TRUE(scorer_second_block);
+    }
+    saw_second_block = saw_second_block || scorer_second_block;
   }
   // At least one fill found its first block used up by earlier edges.
   EXPECT_TRUE(saw_second_block);
+
+  // A target far above the n(n-1)/2 pairs: every fill's quota covers its
+  // whole chunk, and the edge set holds at most the 780 pairs of 40 nodes.
+  for (int subgraph : {40, 16}) {
+    for (int64_t target : {int64_t{100000}, int64_t{1000000000000000}}) {
+      ExpectMatchesFullSort("huge target", 40, subgraph, target,
+                            scorers[0].second);
+    }
+  }
+
+  // Sigmoids of hashed logits in [-24, 24) at the flat path's chunk size:
+  // about 15% of the pairs saturate to exactly 1.0f, so each 1024-node
+  // chunk's best keys are one tie of ~80k pairs broken by node pair. The
+  // larger target runs a second pass, whose chunks find many of their
+  // saturated pairs taken.
+  const SubgraphScorer sigmoid = PairScorer([](int u, int v) {
+    uint64_t h =
+        (static_cast<uint64_t>(u) * 1000003u + v) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+    h *= 0xBF58476D1CE4E5B9ULL;
+    const float unit = static_cast<float>(h >> 40) / 16777216.0f;
+    return t::StableSigmoid(48.0f * unit - 24.0f);
+  });
+  for (int64_t target : {3000, 40000}) {
+    ExpectMatchesFullSort("saturated sigmoid", 1500, 1024, target, sigmoid);
+  }
 }
 
 TEST(AssemblyTest, TiedKeysBreakByNodePair) {

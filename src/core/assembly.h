@@ -1,6 +1,7 @@
 #ifndef CPGAN_CORE_ASSEMBLY_H_
 #define CPGAN_CORE_ASSEMBLY_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -43,16 +44,36 @@ struct AssemblyOptions {
 /// out) and (2) fills the remaining per-round quota with the top-scoring
 /// entries, until `target_edges` edges exist (eq. in Section III-G).
 ///
-/// The fill ranks a subset's pairs by key descending, then (u, v)
-/// ascending, a total order, so tied keys (saturated probabilities, the
-/// 1e-9 floor, repeated rows) always fill in node-pair order. It is a
-/// top-k, so it selects rather than sorts: std::nth_element picks the best
-/// quota + |subset| entries, only those are sorted, and the next block is
-/// selected if pairs already taken use the block up. The result is equal,
-/// edge for edge, to sorting every pair.
+/// The categorical step draws from row i's weights max(0, p), the diagonal
+/// weighing 0, exactly as Rng::Categorical would: one Uniform() per row
+/// with positive total, in row order, scaled by the same left-to-right
+/// total. The draw is a binary search of the row's prefix sums
+/// (internal::DrawFromPrefix).
+///
+/// The fill ranks a subset's pairs by key max(1e-9, p) descending, then
+/// (u, v) ascending, a total order, so tied keys (saturated probabilities,
+/// the 1e-9 floor, repeated rows) always fill in node-pair order. Each pair
+/// is one packed 64-bit key whose ascending order is that order. It is a
+/// top-k, so it selects rather than sorts: a histogram of the keys' top
+/// bits picks the best buckets holding at least quota + |subset| keys,
+/// only those are collected, selected and sorted, and the next buckets are
+/// collected if pairs already taken use the range up. The result is equal,
+/// edge for edge, to sorting every pair. Subsets hold at most 65536 nodes.
 graph::Graph AssembleGraph(int num_nodes, int64_t target_edges,
                            const SubgraphScorer& scorer,
                            const AssemblyOptions& options, util::Rng& rng);
+
+namespace internal {
+
+/// The categorical draw given `r` = Uniform() * total: the first index
+/// whose prefix sum exceeds r, or, when none does (r = total, or an
+/// infinite or NaN r), the last index whose weight is > 0, which is what
+/// Rng::Categorical's scan returns. `prefix` holds the running sums of
+/// max(0, weights[j]) and must end at a positive total.
+int DrawFromPrefix(const double* prefix, const float* weights, int count,
+                   double r);
+
+}  // namespace internal
 
 }  // namespace cpgan::core
 

@@ -570,6 +570,87 @@ TEST(AssemblyTest, BlockSelectionMatchesFullSort) {
   }
 }
 
+/// Rng::Categorical's scan, verbatim, with its Uniform() * total given as r.
+int CategoricalScan(const std::vector<double>& weights, double r) {
+  double acc = 0.0;
+  int last_positive = -1;
+  for (int i = 0; i < static_cast<int>(weights.size()); ++i) {
+    if (weights[i] <= 0.0) continue;
+    acc += weights[i];
+    last_positive = i;
+    if (r < acc) return i;
+  }
+  return last_positive;
+}
+
+TEST(AssemblyTest, PrefixDrawMatchesCategoricalScan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::vector<float>> rows = {
+      {0.5f, 0.25f, 0.25f},
+      // Zero weights before, between and after the mass.
+      {0.0f, 0.3f, 0.0f, 0.0f, 0.7f, 0.0f},
+      // Negatives and NaN weigh 0; the last positive entry is a denormal.
+      {-1.0f, nan, 0.2f, -0.0f, 1e-40f},
+      // Entries the running sum absorbs: the prefix stays flat over them.
+      {1e30f, 1.0f, 1e-30f, 2.0f, 0.0f},
+      // A single positive entry.
+      {0.0f, 0.0f, 0.9f, 0.0f},
+      // An infinite total: r = Uniform() * inf is inf, or NaN at 0.
+      {0.1f, inf, 0.3f, 0.0f},
+  };
+  for (size_t row = 0; row < rows.size(); ++row) {
+    const std::vector<float>& w = rows[row];
+    const int k = static_cast<int>(w.size());
+    std::vector<double> weights(k);
+    std::vector<double> prefix(k);
+    double acc = 0.0;
+    for (int j = 0; j < k; ++j) {
+      weights[j] = std::max(0.0f, w[j]);
+      prefix[j] = acc += weights[j];
+    }
+    const double total = prefix.back();
+    ASSERT_GT(total, 0.0);
+    std::vector<double> points = {0.0,
+                                  total,
+                                  std::nextafter(total, 0.0),
+                                  0.5 * total,
+                                  std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::quiet_NaN()};
+    points.insert(points.end(), prefix.begin(), prefix.end());
+    for (double r : points) {
+      EXPECT_EQ(internal::DrawFromPrefix(prefix.data(), w.data(), k, r),
+                CategoricalScan(weights, r))
+          << "row " << row << " r " << r;
+    }
+  }
+
+  // The draw itself: Rng::Categorical against DrawFromPrefix on the same
+  // stream, over rows with zeros and a few large weights.
+  util::Rng data(51);
+  util::Rng a(52);
+  util::Rng b(52);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int k = 1 + static_cast<int>(data.UniformInt(40));
+    std::vector<float> w(k);
+    std::vector<double> weights(k);
+    std::vector<double> prefix(k);
+    double acc = 0.0;
+    for (int j = 0; j < k; ++j) {
+      const double u = data.Uniform();
+      w[j] = u < 0.3 ? 0.0f : static_cast<float>(u < 0.95 ? u : 1e6 * u);
+      weights[j] = w[j];
+      prefix[j] = acc += weights[j];
+    }
+    if (acc <= 0.0) continue;
+    EXPECT_EQ(a.Categorical(weights),
+              internal::DrawFromPrefix(prefix.data(), w.data(), k,
+                                       b.Uniform() * acc))
+        << "trial " << trial;
+  }
+  EXPECT_EQ(a.engine()(), b.engine()());
+}
+
 TEST(AssemblyTest, TiedKeysBreakByNodePair) {
   // Constant scores tie every key, so the top-k fill must take the pairs in
   // (u, v) order, skipping those the categorical step already took. With

@@ -87,7 +87,7 @@ t::Matrix GraphDecoder::ScoreBlock(const t::Matrix& table,
   CPGAN_TRACE_SPAN("decoder/score");
   const int k = static_cast<int>(rows.size());
   const int d = table.cols();
-  t::Matrix e(k, d);
+  t::Matrix e = t::Matrix::Uninitialized(k, d);
   for (int i = 0; i < k; ++i) {
     CPGAN_CHECK(rows[i] >= 0 && rows[i] < table.rows());
     std::memcpy(e.Row(i), table.Row(rows[i]), sizeof(float) * d);

@@ -64,7 +64,7 @@ PackedB PackB(const Matrix& b) {
   PackedB packed;
   packed.k = b.rows();
   packed.m = b.cols();
-  packed.data.resize(b.size());
+  packed.data.AllocateRaw(b.size());  // every tile is written below
   const int k = packed.k;
   const int m = packed.m;
   const int num_ktiles = (k + kTileK - 1) / kTileK;
@@ -138,6 +138,15 @@ Matrix::Matrix(int rows, int cols) : rows_(rows), cols_(cols) {
 Matrix::Matrix(int rows, int cols, float fill) : rows_(rows), cols_(cols) {
   CPGAN_CHECK(rows >= 0 && cols >= 0);
   data_.assign(size(), fill);
+}
+
+Matrix Matrix::Uninitialized(int rows, int cols) {
+  CPGAN_CHECK(rows >= 0 && cols >= 0);
+  Matrix out;
+  out.rows_ = rows;
+  out.cols_ = cols;
+  out.data_.AllocateRaw(out.size());
+  return out;
 }
 
 Matrix::Matrix(const Matrix& other) = default;
@@ -230,7 +239,7 @@ void Matrix::Scale(float alpha) {
 }
 
 Matrix Matrix::Transposed() const {
-  Matrix out(cols_, rows_);
+  Matrix out = Uninitialized(cols_, rows_);
   // Parallel over output row bands (= source column bands): each chunk
   // writes a disjoint band of `out`. Within a band, each strip of
   // kTransposeBlock columns is copied down the source in square blocks, so
@@ -293,11 +302,11 @@ Matrix MatmulTN(const Matrix& a, const Matrix& b) {
 
 Matrix MatmulNT(const Matrix& a, const Matrix& b) {
   CPGAN_CHECK_EQ(a.cols(), b.cols());
-  Matrix out(a.rows(), b.rows());
   const int n = a.rows();
   const int k = a.cols();
   const int m = b.rows();
-  if (n == 0 || k == 0 || m == 0) return out;
+  if (n == 0 || k == 0 || m == 0) return Matrix(n, m);
+  Matrix out = Matrix::Uninitialized(n, m);
   // Dot-product form: each output row depends only on one row of A and all
   // of B, so row panels parallelize with no write sharing. Per panel, each
   // group of four B rows is widened to double into the task's buffer and

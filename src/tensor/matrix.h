@@ -29,6 +29,10 @@ class Matrix {
   /// rows x cols matrix with every entry set to `fill`.
   Matrix(int rows, int cols, float fill);
 
+  /// rows x cols matrix whose entries are left unset, for outputs that
+  /// write every entry before any is read.
+  static Matrix Uninitialized(int rows, int cols);
+
   Matrix(const Matrix& other);
   Matrix& operator=(const Matrix& other);
   Matrix(Matrix&& other) noexcept;

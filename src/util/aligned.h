@@ -43,6 +43,10 @@ class AlignedFloats {
   /// without a fill when n == 0. Equivalent to assign(n, 0.0f).
   void resize(int64_t n) { assign(n, 0.0f); }
 
+  /// Replaces the contents with `n` uninitialized elements, tracked like
+  /// assign(). For outputs that write every element before any is read.
+  void AllocateRaw(int64_t n);
+
   /// Frees the buffer (size() becomes 0; deallocation is reported).
   void clear();
 
@@ -61,9 +65,6 @@ class AlignedFloats {
   const float* end() const { return data_ + size_; }
 
  private:
-  /// Allocates (tracked) storage for n floats without initializing it.
-  void AllocateRaw(int64_t n);
-
   float* data_ = nullptr;
   int64_t size_ = 0;
   size_t tracked_bytes_ = 0;  // rounded figure reported to MemoryTracker

@@ -47,6 +47,43 @@ bool ParseDouble(const std::string& text, double* out) {
   return true;
 }
 
+// Well-formed UTF-8 (RFC 3629): no stray continuation byte, no truncated
+// or overlong sequence, no surrogate, nothing above U+10FFFF. The request
+// log writes the model name into a JSON string, which must be UTF-8 text.
+bool IsValidUtf8(const std::string& text) {
+  size_t i = 0;
+  while (i < text.size()) {
+    const unsigned char lead = static_cast<unsigned char>(text[i]);
+    if (lead < 0x80) {
+      ++i;
+      continue;
+    }
+    size_t extra = 0;
+    uint32_t code = 0;
+    uint32_t least = 0;
+    if ((lead & 0xE0) == 0xC0) {
+      extra = 1, code = lead & 0x1F, least = 0x80;
+    } else if ((lead & 0xF0) == 0xE0) {
+      extra = 2, code = lead & 0x0F, least = 0x800;
+    } else if ((lead & 0xF8) == 0xF0) {
+      extra = 3, code = lead & 0x07, least = 0x10000;
+    } else {
+      return false;
+    }
+    if (text.size() - i <= extra) return false;
+    for (size_t k = 1; k <= extra; ++k) {
+      const unsigned char next = static_cast<unsigned char>(text[i + k]);
+      if ((next & 0xC0) != 0x80) return false;
+      code = (code << 6) | (next & 0x3F);
+    }
+    if (code < least || code > 0x10FFFF || (code >= 0xD800 && code <= 0xDFFF)) {
+      return false;
+    }
+    i += extra + 1;
+  }
+  return true;
+}
+
 std::string SanitizeToken(const std::string& text) {
   std::string out = text;
   for (char& c : out) {
@@ -88,7 +125,7 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error) {
     std::string value = token.substr(eq + 1);
     bool ok = true;
     if (key == "model") {
-      ok = !value.empty();
+      ok = !value.empty() && IsValidUtf8(value);
       request.model = value;
     } else if (key == "nodes") {
       int64_t n = 0;

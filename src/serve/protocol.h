@@ -39,7 +39,8 @@ enum class Verb {
 struct Request {
   Verb verb = Verb::kGenerate;
 
-  /// Registry name of the model to decode from.
+  /// Registry name of the model to decode from. ParseRequest accepts only
+  /// valid UTF-8, since the request log writes it into a JSON string.
   std::string model = "default";
 
   /// Requested graph size; 0 = the model's observed node/edge counts.

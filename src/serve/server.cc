@@ -368,7 +368,8 @@ bool Server::AppendRequestLog(const Response& response, int* log_retries) {
     std::lock_guard<std::mutex> lock(log_mutex_);
     if (log_file_ == nullptr) return true;
   }
-  // The protocol accepts any model name, quotes and backslashes included.
+  // The protocol accepts any UTF-8 model name, quotes and backslashes
+  // included.
   const std::string model = obs::JsonEscape(response.model);
   util::Rng io_rng(response.id ^ 0xA5A5A5A5A5A5A5A5ULL);
   util::RetryResult retry = util::RetryWithBackoff(

@@ -90,6 +90,23 @@ TEST(Protocol, RejectsMalformedInput) {
   EXPECT_FALSE(ParseRequest("GENERATE deadline_ms=inf", &request, &error));
   EXPECT_FALSE(ParseRequest("GENERATE deadline_ms=nan", &request, &error));
   EXPECT_FALSE(ParseRequest("GENERATE deadline_ms=1e999", &request, &error));
+  // Model names must be UTF-8: they are written into the JSON request log.
+  for (const char* model : {"caf\xE9",          // a Latin-1 byte
+                            "caf\x80",          // a lone continuation byte
+                            "caf\xC3",          // a truncated sequence
+                            "caf\xE2\x82",      // truncated after two bytes
+                            "\xC0\xAF",         // an overlong '/'
+                            "\xED\xA0\x80",     // a UTF-16 surrogate
+                            "\xF4\x90\x80\x80"}) {  // above U+10FFFF
+    EXPECT_FALSE(ParseRequest(std::string("GENERATE model=") + model,
+                              &request, &error))
+        << model;
+    EXPECT_NE(error.find("bad value for 'model'"), std::string::npos);
+  }
+  EXPECT_TRUE(ParseRequest("GENERATE model=caf\xC3\xA9", &request, &error));
+  EXPECT_EQ(request.model, "caf\xC3\xA9");
+  EXPECT_TRUE(
+      ParseRequest("GENERATE model=\xF0\x9F\x93\x88", &request, &error));
 }
 
 TEST(Protocol, BlankAndCommentLinesReportEmpty) {

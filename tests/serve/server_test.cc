@@ -327,10 +327,14 @@ TEST_F(ServerTest, RequestLogRecordsEveryResponse) {
   Server server(&SharedServeRegistry(), options);
   server.Start();
   server.Submit(Request{});
-  // ParseRequest accepts any non-empty model name, JSON metacharacters too.
+  // ParseRequest accepts any non-empty UTF-8 model name, JSON
+  // metacharacters and non-ASCII letters too.
   Request bad;
   bad.model = "we\"ird\\";
   server.Submit(bad);
+  Request accented;
+  ASSERT_TRUE(ParseRequest("GENERATE model=caf\xC3\xA9", &accented, nullptr));
+  server.Submit(accented);
   server.Stop();
 
   std::istringstream log(SlurpFile(options.request_log));
@@ -342,7 +346,7 @@ TEST_F(ServerTest, RequestLogRecordsEveryResponse) {
         << error << " in " << line;
     records.push_back(std::move(record));
   }
-  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records.size(), 3u);
   std::vector<std::string> statuses, models;
   for (const obs::JsonValue& record : records) {
     ASSERT_NE(record.Find("status"), nullptr);
@@ -350,8 +354,9 @@ TEST_F(ServerTest, RequestLogRecordsEveryResponse) {
     statuses.push_back(record.Find("status")->string_value());
     models.push_back(record.Find("model")->string_value());
   }
-  EXPECT_EQ(statuses, (std::vector<std::string>{"ok", "error"}));
-  EXPECT_EQ(models, (std::vector<std::string>{"default", bad.model}));
+  EXPECT_EQ(statuses, (std::vector<std::string>{"ok", "error", "error"}));
+  EXPECT_EQ(models, (std::vector<std::string>{"default", bad.model,
+                                               "caf\xC3\xA9"}));
 }
 
 TEST_F(ServerTest, StatsCountersAddUp) {

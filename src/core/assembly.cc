@@ -17,6 +17,7 @@ namespace {
 constexpr int kCategoricalRows = 4;
 
 /// Running sums of max(0, w) along four rows at once, each left to right.
+static_assert(kCategoricalRows == 4, "PrefixSums runs four chains");
 void PrefixSums(const float* const w[kCategoricalRows],
                 double* const out[kCategoricalRows], int count) {
   double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
@@ -95,7 +96,8 @@ class EdgeTable {
  private:
   bool Place(uint64_t key) {
     const size_t mask = slots_.size() - 1;
-    for (size_t s = (key * 0x9E3779B97F4A7C15ULL) >> shift_;; s = (s + 1) & mask) {
+    size_t s = (key * 0x9E3779B97F4A7C15ULL) >> shift_;
+    for (;; s = (s + 1) & mask) {
       if (slots_[s] == key) return false;
       if (slots_[s] == 0) {
         slots_[s] = key;
@@ -259,14 +261,15 @@ graph::Graph AssembleGraph(int num_nodes, int64_t target_edges,
             for (int j = i + 1; j < k; ++j) {
               const uint32_t key = FillKey(row[j]);
               if (key - low < width) {
-                keys.push_back((static_cast<uint64_t>(key) << 32) | (base + j));
+                keys.push_back((uint64_t{key} << 32) | (base + j));
               }
             }
           }
           next_bucket = end_bucket;
         }
         const auto first = keys.begin() + static_cast<std::ptrdiff_t>(next);
-        const auto last = keys.end() - first > block ? first + block : keys.end();
+        const auto last =
+            keys.end() - first > block ? first + block : keys.end();
         std::nth_element(first, last, keys.end());
         std::sort(first, last);
         for (auto it = first; it != last && filling(); ++it, ++next) {

@@ -58,19 +58,24 @@ bool IsValidUtf8(const std::string& text) {
       ++i;
       continue;
     }
+    // Continuation bytes after the lead, and the least code point a
+    // sequence of that length may encode (anything less is overlong).
     size_t extra = 0;
-    uint32_t code = 0;
     uint32_t least = 0;
     if ((lead & 0xE0) == 0xC0) {
-      extra = 1, code = lead & 0x1F, least = 0x80;
+      extra = 1;
+      least = 0x80;
     } else if ((lead & 0xF0) == 0xE0) {
-      extra = 2, code = lead & 0x0F, least = 0x800;
+      extra = 2;
+      least = 0x800;
     } else if ((lead & 0xF8) == 0xF0) {
-      extra = 3, code = lead & 0x07, least = 0x10000;
+      extra = 3;
+      least = 0x10000;
     } else {
       return false;
     }
     if (text.size() - i <= extra) return false;
+    uint32_t code = lead & (0x7F >> (extra + 1));
     for (size_t k = 1; k <= extra; ++k) {
       const unsigned char next = static_cast<unsigned char>(text[i + k]);
       if ((next & 0xC0) != 0x80) return false;

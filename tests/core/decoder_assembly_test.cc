@@ -427,7 +427,9 @@ SubgraphScorer PairScorer(std::function<float(int, int)> score) {
 }
 
 /// Index of the pair u < v among the n(n-1)/2 pairs in (u, v) order.
-int PairIndex(int n, int u, int v) { return u * (2 * n - u - 1) / 2 + v - u - 1; }
+int PairIndex(int n, int u, int v) {
+  return u * (2 * n - u - 1) / 2 + v - u - 1;
+}
 
 /// Runs AssembleGraph and FullSortAssemble from the same seed and expects
 /// the same edges and the same number of RNG draws. Returns whether some

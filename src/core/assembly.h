@@ -59,6 +59,8 @@ struct AssemblyOptions {
 /// only those are collected, selected and sorted, and the next buckets are
 /// collected if pairs already taken use the range up. The result is equal,
 /// edge for edge, to sorting every pair. Subsets hold at most 65536 nodes.
+/// The edge set grows with the edges taken and is never sized from
+/// `target_edges`, which may be any non-negative value.
 graph::Graph AssembleGraph(int num_nodes, int64_t target_edges,
                            const SubgraphScorer& scorer,
                            const AssemblyOptions& options, util::Rng& rng);

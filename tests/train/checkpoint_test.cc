@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/serialize.h"
 #include "train/fault.h"
 #include "util/crc32.h"
 #include "util/fileio.h"
@@ -30,10 +29,32 @@ void ExpectSameValues(const std::vector<t::Tensor>& a,
                       const std::vector<t::Tensor>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(a[i].value().SameShape(b[i].value())) << "tensor " << i;
     t::Matrix diff = a[i].value();
     diff.Axpy(-1.0f, b[i].value());
     EXPECT_FLOAT_EQ(diff.Norm(), 0.0f) << "tensor " << i;
   }
+}
+
+/// Appends the bytes of each field to `bytes`, in host (little-endian) order.
+template <typename... Fields>
+void Put(std::string& bytes, Fields... fields) {
+  (bytes.append(reinterpret_cast<const char*>(&fields), sizeof(fields)), ...);
+}
+
+/// A 24-byte checkpoint header (epoch 1, hash 0) with a valid checksum.
+std::string Header(uint32_t version = 1) {
+  std::string bytes;
+  const uint32_t magic = 0x4B435043u;  // "CPCK"
+  Put(bytes, magic, version, int32_t{1}, uint64_t{0});
+  Put(bytes, util::Crc32Of(bytes.data(), bytes.size()));
+  return bytes;
+}
+
+bool WriteBytes(const std::string& path, const std::string& bytes) {
+  return util::AtomicWriteFile(path, [&bytes](std::FILE* f) {
+    return std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  });
 }
 
 TEST(CheckpointTest, RoundTripRestoresMetaAndParams) {
@@ -43,6 +64,7 @@ TEST(CheckpointTest, RoundTripRestoresMetaAndParams) {
   meta.epoch = 37;
   meta.config_hash = HashFields({1, 2, 3});
   ASSERT_TRUE(SaveCheckpoint(path, meta, params));
+  EXPECT_FALSE(util::FileExists(path + ".tmp"));
 
   auto restored = MakeParams(99);  // same shapes, different values
   CheckpointMeta loaded;
@@ -61,8 +83,11 @@ TEST(CheckpointTest, TruncatedFileIsRejectedAndParamsUntouched) {
   ASSERT_TRUE(SaveCheckpoint(path, CheckpointMeta{10, 1}, MakeParams()));
   int64_t size = FileSize(path);
   ASSERT_GT(size, 0);
-  // Cut the file at several depths: mid-header, mid-tensor, missing footer.
-  for (int64_t keep : {int64_t{6}, size / 2, size - 1}) {
+  // Cut the file at several depths: mid-header, after the 24-byte header,
+  // inside the tensor block's magic, version and count, mid-tensor, before
+  // and inside the file checksum.
+  for (int64_t keep : {int64_t{6}, int64_t{24}, int64_t{26}, int64_t{30},
+                       int64_t{34}, size / 2, size - 4, size - 1}) {
     ASSERT_TRUE(SaveCheckpoint(path, CheckpointMeta{10, 1}, MakeParams()));
     ASSERT_TRUE(TruncateFile(path, keep));
     auto params = MakeParams(42);
@@ -81,8 +106,11 @@ TEST(CheckpointTest, BitFlipAnywhereIsRejected) {
   ASSERT_TRUE(SaveCheckpoint(path, CheckpointMeta{10, 1}, MakeParams()));
   int64_t size = FileSize(path);
   ASSERT_GT(size, 0);
-  // Flip one byte in the header, in a tensor payload, and in the footer.
-  for (int64_t offset : {int64_t{9}, size / 2, size - 2}) {
+  // Flip one byte in the header, in the tensor block's magic, version and
+  // count, in the first tensor's rows, in a tensor payload, and in the file
+  // checksum, its last byte included.
+  for (int64_t offset : {int64_t{9}, int64_t{25}, int64_t{29}, int64_t{33},
+                         int64_t{37}, size / 2, size - 2, size - 1}) {
     ASSERT_TRUE(SaveCheckpoint(path, CheckpointMeta{10, 1}, MakeParams()));
     ASSERT_TRUE(FlipByte(path, offset));
     auto params = MakeParams(42);
@@ -97,31 +125,21 @@ TEST(CheckpointTest, BitFlipAnywhereIsRejected) {
 }
 
 TEST(CheckpointTest, WrongVersionIsRejected) {
-  std::string path = TempPath("ckpt_version.cpck");
-  // Craft a header with version 999 and a *valid* header CRC so the version
-  // check itself (not the checksum) is what rejects the file.
-  ASSERT_TRUE(util::AtomicWriteFile(path, [](std::FILE* f) {
-    uint32_t magic = 0x4B435043u;  // "CPCK"
-    uint32_t version = 999;
-    int32_t epoch = 1;
-    uint64_t hash = 0;
-    util::Crc32 crc;
-    crc.Update(&magic, sizeof(magic));
-    crc.Update(&version, sizeof(version));
-    crc.Update(&epoch, sizeof(epoch));
-    crc.Update(&hash, sizeof(hash));
-    uint32_t digest = crc.Digest();
-    return std::fwrite(&magic, sizeof(magic), 1, f) == 1 &&
-           std::fwrite(&version, sizeof(version), 1, f) == 1 &&
-           std::fwrite(&epoch, sizeof(epoch), 1, f) == 1 &&
-           std::fwrite(&hash, sizeof(hash), 1, f) == 1 &&
-           std::fwrite(&digest, sizeof(digest), 1, f) == 1;
-  }));
-  auto params = MakeParams();
-  std::string err;
-  EXPECT_FALSE(LoadCheckpoint(path, nullptr, params, 0, &err));
-  EXPECT_NE(err.find("version"), std::string::npos) << err;
-  std::remove(path.c_str());
+  // A checkpoint header claiming version 999, and a "CPG2" tensor block
+  // claiming version 7 (count 0) under a valid header. Every checksum is
+  // valid, so the version check itself is what rejects the file.
+  std::string block;
+  Put(block, uint32_t{0x32475043u}, uint32_t{7}, uint32_t{0});
+  Put(block, util::Crc32Of(block.data(), block.size()));
+  for (const std::string& bytes : {Header(999), Header() + block}) {
+    std::string path = TempPath("ckpt_version.cpck");
+    ASSERT_TRUE(WriteBytes(path, bytes));
+    auto params = MakeParams();
+    std::string err;
+    EXPECT_FALSE(LoadCheckpoint(path, nullptr, params, 0, &err));
+    EXPECT_NE(err.find("version"), std::string::npos) << err;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CheckpointTest, ArchitectureHashMismatchIsRejected) {
@@ -143,16 +161,41 @@ TEST(CheckpointTest, ArchitectureHashMismatchIsRejected) {
 TEST(CheckpointTest, ShapeMismatchIsRejectedAndParamsUntouched) {
   std::string path = TempPath("ckpt_shape.cpck");
   ASSERT_TRUE(SaveCheckpoint(path, CheckpointMeta{3, 0}, MakeParams()));
-  std::vector<t::Tensor> wrong = {
-      t::Tensor(cpgan::testing::TestMatrix(4, 4, 1.0f, 3), true)};
-  auto before_first = wrong[0].value();
-  std::string err;
-  EXPECT_FALSE(LoadCheckpoint(path, nullptr, wrong, 0, &err));
-  EXPECT_NE(err.find("mismatch"), std::string::npos) << err;
-  t::Matrix diff = before_first;
-  diff.Axpy(-1.0f, wrong[0].value());
-  EXPECT_FLOAT_EQ(diff.Norm(), 0.0f);
+  // The file holds 4x3, 2x6 and 1x1. Destinations: one tensor, one tensor
+  // more than the file, and the same count with a 4x4 first tensor.
+  auto one_more = MakeParams(7);
+  one_more.emplace_back(cpgan::testing::TestMatrix(1, 1, 1.0f, 4), true);
+  auto reshaped = MakeParams(7);
+  reshaped[0] = t::Tensor(cpgan::testing::TestMatrix(4, 4, 1.0f, 3), true);
+  const std::vector<std::vector<t::Tensor>> destinations = {
+      {t::Tensor(cpgan::testing::TestMatrix(4, 4, 1.0f, 3), true)}, one_more,
+      reshaped};
+  for (const std::vector<t::Tensor>& original : destinations) {
+    std::vector<t::Tensor> wrong;
+    for (const t::Tensor& p : original) wrong.emplace_back(p.value(), true);
+    std::string err;
+    EXPECT_FALSE(LoadCheckpoint(path, nullptr, wrong, 0, &err))
+        << wrong.size() << " tensors";
+    EXPECT_NE(err.find("mismatch"), std::string::npos) << err;
+    ExpectSameValues(original, wrong);
+  }
   std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, MissingFileAndUnwritableDirectoryFail) {
+  auto params = MakeParams();
+  auto before = MakeParams();
+  CheckpointMeta meta;
+  std::string err;
+  const std::string missing = TempPath("ckpt_does_not_exist.cpck");
+  EXPECT_FALSE(LoadCheckpoint(missing, &meta, params, 0, &err));
+  EXPECT_FALSE(err.empty());
+  err.clear();
+  EXPECT_FALSE(ValidateCheckpoint(missing, &meta, 0, &err));
+  EXPECT_FALSE(err.empty());
+  ExpectSameValues(before, params);
+  EXPECT_FALSE(SaveCheckpoint("/nonexistent_dir/ckpt_1.cpck",
+                              CheckpointMeta{1, 0}, params));
 }
 
 TEST(CheckpointTest, ValidateCheckpointVetsWithoutAModel) {

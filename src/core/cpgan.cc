@@ -18,7 +18,6 @@
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
-#include "tensor/serialize.h"
 #include "train/checkpoint.h"
 #include "train/guard.h"
 #include "train/signal.h"
@@ -296,6 +295,7 @@ bool Cpgan::WarmStart(const graph::Graph& observed,
     return false;
   }
   trained_ = true;
+  trained_epochs_ = meta.epoch;
   EncodeObserved();
   return true;
 }
@@ -335,6 +335,7 @@ TrainStats Cpgan::Train(std::vector<graph::Graph> graphs) {
   SampleCoreset();
   BuildModel();
   TrainState s(*this);
+  trained_epochs_ = s.stats.start_epoch;
   for (int epoch = s.stats.start_epoch; epoch < config_.epochs; ++epoch) {
     CPGAN_TRACE_SPAN("train/epoch");
     util::Timer epoch_timer;
@@ -347,6 +348,7 @@ TrainStats Cpgan::Train(std::vector<graph::Graph> graphs) {
     if (disc_epoch) DiscriminatorStep(s, batch, prior_epoch, epoch);
     GeneratorStep(s, batch, prior_epoch, epoch);
     s.DecayOnSchedule(epoch);
+    trained_epochs_ = epoch + 1;
 
     if (config_.verbose && (epoch % 20 == 0 || epoch + 1 == config_.epochs)) {
       // Discriminator losses exist only on epochs that ran that step.
@@ -1082,27 +1084,12 @@ bool Cpgan::SaveWeights(const std::string& path) const {
                      << "): model is untrained — call Fit first";
     return false;
   }
-  if (!t::SaveParameters(CollectAllParams(), path)) {
+  if (!train::SaveCheckpoint(
+          path, train::CheckpointMeta{trained_epochs_, ArchitectureHash()},
+          CollectAllParams())) {
     CPGAN_LOG(Error) << "SaveWeights(" << path << "): write failed";
     return false;
   }
-  return true;
-}
-
-bool Cpgan::LoadWeights(const std::string& path) {
-  if (encoder_ == nullptr) {
-    CPGAN_LOG(Error) << "LoadWeights(" << path
-                     << "): model architecture not initialized — Fit on a "
-                        "graph with matching shape parameters first";
-    return false;
-  }
-  std::vector<t::Tensor> params = CollectAllParams();
-  std::string err;
-  if (!t::LoadParameters(params, path, &err)) {
-    CPGAN_LOG(Error) << "LoadWeights(" << path << "): " << err;
-    return false;
-  }
-  EncodeObserved();
   return true;
 }
 

@@ -143,8 +143,8 @@ class Cpgan {
 
   /// Latent features of the observed graph under the posterior means, one
   /// n x latent matrix per hierarchy level. Computed by one encoder pass
-  /// whenever the weights change (end of training, WarmStart, LoadWeights)
-  /// and stored with the model.
+  /// whenever the weights change (end of training, WarmStart) and stored
+  /// with the model.
   const std::vector<tensor::Matrix>& PosteriorMeanLatents() const;
 
   /// Assembly over precomputed latents (posterior means or prior draws).
@@ -202,17 +202,17 @@ class Cpgan {
   int64_t ParameterCount() const;
   bool trained() const { return trained_; }
 
-  /// Persists the trained weights (all module parameters plus the trainable
-  /// node-feature table) to `path`. Returns false (with the reason logged)
-  /// on an untrained model or IO failure.
+  /// Persists the trained weights (all module parameters plus each training
+  /// graph's node-feature table) to `path` as a training checkpoint
+  /// (train/checkpoint.h): its header holds the epochs the weights were
+  /// trained for and ArchitectureHash(). WarmStart loads it into a model of
+  /// a single graph, `cpgan_cli serve --checkpoint=` serves it, and
+  /// ResumeFrom followed by Fit/FitMany with the same config and graphs
+  /// restores any model from it without training further. After a Fit with
+  /// `checkpoint_dir` set, the file is byte for byte the final
+  /// `ckpt_<epochs>.cpck`. Returns false (with the reason logged) on an
+  /// untrained model or IO failure.
   bool SaveWeights(const std::string& path) const;
-
-  /// Restores weights saved by SaveWeights into this model (and re-encodes
-  /// the observed graph under them). The model must have been trained (or
-  /// at least Fit) on a graph with identical shape parameters so the
-  /// architectures match. Returns false on mismatch/IO failure with the
-  /// reason logged.
-  bool LoadWeights(const std::string& path);
 
   /// Arms resumption from a training checkpoint written by a previous run
   /// with `checkpoint_dir` set: the next Fit/FitMany call restores the
@@ -321,6 +321,9 @@ class Cpgan {
   CpganConfig config_;
   util::Rng rng_;
   bool trained_ = false;
+  /// Epochs the current weights were trained for: where Train stopped, or
+  /// the loaded checkpoint's epoch after WarmStart. SaveWeights writes it.
+  int trained_epochs_ = 0;
   train::FaultPlan fault_plan_;
   /// Pending checkpoint to restore at the top of the next Fit (ResumeFrom).
   std::string resume_from_;

@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "tensor/kernels.h"
 #include "train/checkpoint.h"
+#include "util/fileio.h"
 #include "util/rng.h"
 
 namespace cpgan::core {
@@ -167,33 +168,47 @@ TEST(CpganTest, SaveLoadWeightsRoundTrip) {
   graph::Graph observed = SmallCommunityGraph(4);
   CpganConfig config = FastConfig();
   config.epochs = 15;
+  config.checkpoint_dir = ::testing::TempDir() + "/cpgan_weights_ckpt";
+  config.checkpoint_every = 100;  // only the final-epoch checkpoint
   Cpgan model(config);
   model.Fit(observed);
-  std::string path = ::testing::TempDir() + "/cpgan_weights.bin";
+  std::string path = ::testing::TempDir() + "/cpgan_weights.cpck";
   ASSERT_TRUE(model.SaveWeights(path));
+  // The weights file is the checkpoint Train wrote after its last epoch.
+  std::string saved;
+  std::string final_checkpoint;
+  ASSERT_TRUE(util::ReadFileToString(path, &saved));
+  ASSERT_TRUE(util::ReadFileToString(
+      train::CheckpointPath(config.checkpoint_dir, 15), &final_checkpoint));
+  EXPECT_EQ(saved, final_checkpoint);
 
-  // Second model with the same architecture; after loading, its edge
-  // probabilities must match the original's exactly.
-  Cpgan clone(config);
-  clone.Fit(observed);  // builds the architecture (and trains briefly)
-  ASSERT_TRUE(clone.LoadWeights(path));
+  // A fresh model warm-starts from it. A second one resumes from it, and
+  // its Fit trains no epoch: the header holds the 15 the weights have.
+  Cpgan warm(config);
+  std::string err;
+  ASSERT_TRUE(warm.WarmStart(observed, path, &err)) << err;
+  Cpgan resumed(config);
+  ASSERT_TRUE(resumed.ResumeFrom(path));
+  TrainStats stats = resumed.Fit(observed);
+  EXPECT_EQ(stats.start_epoch, 15);
+  EXPECT_TRUE(stats.g_loss.empty());
   std::vector<graph::Edge> pairs = observed.Edges();
   pairs.resize(std::min<size_t>(pairs.size(), 30));
-  std::vector<double> original = model.EdgeProbabilities(pairs);
-  std::vector<double> restored = clone.EdgeProbabilities(pairs);
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_NEAR(original[i], restored[i], 1e-5);
-  }
-  // Generation decodes the observed graph's encoding, which LoadWeights
-  // must refresh: the clone generates the original's graphs edge for edge.
-  for (bool hierarchical : {false, true}) {
-    GenerateControls controls;
-    controls.hierarchical = hierarchical;
-    util::Rng original_rng(21);
-    util::Rng restored_rng(21);
-    EXPECT_EQ(model.GenerateWith(controls, original_rng).Edges(),
-              clone.GenerateWith(controls, restored_rng).Edges())
-        << (hierarchical ? "hierarchical" : "flat");
+  const std::vector<double> original = model.EdgeProbabilities(pairs);
+  // Generation decodes the observed graph's encoding, which both loads
+  // must refresh: each restored model generates the original's graphs
+  // edge for edge.
+  for (const Cpgan* restored : {&warm, &resumed}) {
+    EXPECT_EQ(original, restored->EdgeProbabilities(pairs));
+    for (bool hierarchical : {false, true}) {
+      GenerateControls controls;
+      controls.hierarchical = hierarchical;
+      util::Rng original_rng(21);
+      util::Rng restored_rng(21);
+      EXPECT_EQ(model.GenerateWith(controls, original_rng).Edges(),
+                restored->GenerateWith(controls, restored_rng).Edges())
+          << (hierarchical ? "hierarchical" : "flat");
+    }
   }
   std::remove(path.c_str());
 }
@@ -485,15 +500,17 @@ TEST(CpganTest, LoadRejectsMismatchedArchitecture) {
   config.epochs = 5;
   Cpgan model(config);
   model.Fit(observed);
-  std::string path = ::testing::TempDir() + "/cpgan_weights2.bin";
+  std::string path = ::testing::TempDir() + "/cpgan_weights2.cpck";
   ASSERT_TRUE(model.SaveWeights(path));
 
   CpganConfig other = FastConfig();
   other.epochs = 5;
   other.hidden_dim = 24;  // different architecture
   Cpgan mismatched(other);
-  mismatched.Fit(observed);
-  EXPECT_FALSE(mismatched.LoadWeights(path));
+  std::string err;
+  EXPECT_FALSE(mismatched.WarmStart(observed, path, &err));
+  EXPECT_NE(err.find("architecture"), std::string::npos) << err;
+  EXPECT_FALSE(mismatched.trained());
   std::remove(path.c_str());
 }
 

@@ -183,8 +183,11 @@ TEST(FaultToleranceTest, TruncatedCheckpointIsRejected) {
 
 TEST(FaultToleranceTest, SaveWeightsOnUntrainedModelFailsGracefully) {
   Cpgan model(FastConfig());
-  EXPECT_FALSE(model.SaveWeights(::testing::TempDir() + "/untrained.bin"));
-  EXPECT_FALSE(model.LoadWeights(::testing::TempDir() + "/untrained.bin"));
+  const std::string path = ::testing::TempDir() + "/untrained.cpck";
+  std::remove(path.c_str());
+  EXPECT_FALSE(model.SaveWeights(path));
+  EXPECT_FALSE(model.WarmStart(SmallCommunityGraph(), path));
+  EXPECT_FALSE(model.trained());
 }
 
 }  // namespace

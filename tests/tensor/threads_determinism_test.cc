@@ -160,7 +160,8 @@ TEST(ThreadsDeterminismTest, GraphMetricsIdenticalAcrossThreadCounts) {
 
 // End-to-end: a short CPGAN training run (forward + backward + optimizer,
 // exercising matmul, SpMM, softmax, reductions, graph sampling) must yield
-// bitwise-identical losses and weight files for every thread count.
+// bitwise-identical losses and SaveWeights checkpoints for every thread
+// count.
 TEST(ThreadsDeterminismTest, CpganTrainingStepBitwiseIdentical) {
   graph::Graph observed = data::MakeScaledDataset("google_like", 256, 5);
 
@@ -180,7 +181,7 @@ TEST(ThreadsDeterminismTest, CpganTrainingStepBitwiseIdentical) {
     losses->insert(losses->end(), stats.d_loss.begin(), stats.d_loss.end());
     losses->insert(losses->end(), stats.g_loss.begin(), stats.g_loss.end());
     std::string path = ::testing::TempDir() + "/cpgan_threads_" +
-                       std::to_string(threads) + ".bin";
+                       std::to_string(threads) + ".cpck";
     ASSERT_TRUE(model.SaveWeights(path));
     FILE* f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);

@@ -12,7 +12,9 @@ namespace cpgan::train {
 
 /// \file
 /// Training checkpoints: epoch marker + architecture fingerprint + the full
-/// parameter set, in a single crash-safe file.
+/// parameter set, in a single crash-safe file. It is the one model file:
+/// Train writes it every `checkpoint_every` epochs, Cpgan::SaveWeights
+/// writes it on demand, and WarmStart and ResumeFrom read it.
 ///
 /// On-disk layout (little-endian):
 ///
@@ -21,11 +23,23 @@ namespace cpgan::train {
 ///   i32 epoch        epochs fully completed when the checkpoint was taken
 ///   u64 config_hash  architecture fingerprint (see HashFields)
 ///   u32 header_crc32 over the four fields above
-///   ...              embedded v2 tensor block (self-checksummed; see
-///                    tensor/serialize.h)
+///   tensor block:
+///     u32 magic      "CPG2" (0x32475043)
+///     u32 version    2
+///     u32 count      number of tensors
+///     per tensor:
+///       i32 rows
+///       i32 cols
+///       u32 crc32    of the rows*cols row-major float payload
+///       f32 data[rows*cols]
+///     u32 block_crc32 over every preceding byte of the block
 ///
-/// Writes are atomic (tmp + fsync + rename); loads are transactional — the
-/// whole file is parsed and validated before any model parameter changes.
+/// The header and block checksums turn truncation and header corruption
+/// into load failures; the per-tensor checksums localize payload bit rot.
+/// A count or shape that the bytes left in the file cannot hold fails as
+/// truncated, before anything of that size is allocated. Writes are atomic
+/// (tmp + fsync + rename); loads are transactional — the whole file is
+/// parsed and validated before any model parameter changes.
 
 /// Non-tensor checkpoint payload.
 struct CheckpointMeta {

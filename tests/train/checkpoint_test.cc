@@ -142,6 +142,34 @@ TEST(CheckpointTest, WrongVersionIsRejected) {
   }
 }
 
+TEST(CheckpointTest, ForeignTensorBlocksAreRejected) {
+  // Under a valid header: a legacy "CPGN" body (count 1, then a 1x1 tensor
+  // holding 1e30, with no checksum), and a "CPG2" block whose count,
+  // 2^32 - 1, the 36-byte file cannot hold.
+  std::string legacy;
+  Put(legacy, uint32_t{0x4350474Eu}, uint32_t{1}, int32_t{1}, int32_t{1},
+      1e30f);
+  std::string huge_count;
+  Put(huge_count, uint32_t{0x32475043u}, uint32_t{2}, uint32_t{0xFFFFFFFFu});
+  const std::pair<std::string, const char*> bodies[] = {
+      {legacy, "magic"}, {huge_count, "truncated"}};
+  for (const auto& [body, reason] : bodies) {
+    std::string path = TempPath("ckpt_foreign.cpck");
+    ASSERT_TRUE(WriteBytes(path, Header() + body));
+    // One 1x1 destination, the legacy body's shape.
+    std::vector<t::Tensor> params = {t::Tensor(t::Matrix(1, 1, 0.5f), true)};
+    CheckpointMeta meta;
+    std::string err;
+    EXPECT_FALSE(LoadCheckpoint(path, &meta, params, 0, &err)) << reason;
+    EXPECT_NE(err.find(reason), std::string::npos) << err;
+    EXPECT_EQ(params[0].value().At(0, 0), 0.5f);
+    err.clear();
+    EXPECT_FALSE(ValidateCheckpoint(path, &meta, 0, &err)) << reason;
+    EXPECT_NE(err.find(reason), std::string::npos) << err;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(CheckpointTest, ArchitectureHashMismatchIsRejected) {
   std::string path = TempPath("ckpt_arch.cpck");
   CheckpointMeta meta;

@@ -5,6 +5,7 @@
 
 #include "serve/server.h"
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "tests/serve/serve_test_util.h"
+#include "util/crc32.h"
 #include "util/memory_tracker.h"
 #include "util/thread_pool.h"
 
@@ -283,6 +285,33 @@ TEST_F(ServerTest, ReloadSwapsModelAndBumpsVersion) {
                            &quit);
   ASSERT_TRUE(ParseResponse(line, &response)) << line;
   EXPECT_EQ(response.status, ResponseStatus::kError);
+  EXPECT_EQ(registry.Find("default")->version(), before + 1);
+
+  // So does a 36-byte file: a valid checkpoint header, then a tensor block
+  // that claims 2^32 - 1 tensors.
+  std::string bytes;
+  auto put = [&bytes](const auto& field) {
+    bytes.append(reinterpret_cast<const char*>(&field), sizeof(field));
+  };
+  put(uint32_t{0x4B435043u});  // "CPCK"
+  put(uint32_t{1});
+  put(int32_t{12});
+  put(uint64_t{0});
+  put(util::Crc32Of(bytes.data(), bytes.size()));
+  put(uint32_t{0x32475043u});  // "CPG2"
+  put(uint32_t{2});
+  put(uint32_t{0xFFFFFFFFu});
+  const std::string count_path =
+      ServeTempDir("server_reload_count") + "/count.cpck";
+  std::FILE* f = std::fopen(count_path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), 36u);
+  std::fclose(f);
+  line = server.HandleLine("RELOAD model=default checkpoint=" + count_path,
+                           &quit);
+  ASSERT_TRUE(ParseResponse(line, &response)) << line;
+  EXPECT_EQ(response.status, ResponseStatus::kError);
+  EXPECT_EQ(response.detail.rfind("reload_failed:", 0), 0u) << line;
   EXPECT_EQ(registry.Find("default")->version(), before + 1);
   Response generate = server.Submit(Request{});
   EXPECT_EQ(generate.status, ResponseStatus::kOk);

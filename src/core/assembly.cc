@@ -214,10 +214,13 @@ graph::Graph AssembleGraph(int num_nodes, int64_t target_edges,
       if (full()) break;
 
       // Step 2: top-k fill proportional to the subset's share of all pairs.
+      // A quota of chunk_pairs already takes every pair, so the clamp moves
+      // no fill and keeps the cast defined for targets near INT64_MAX.
       CPGAN_TRACE_SPAN("assembly/fill");
       double chunk_pairs = 0.5 * k * (k - 1.0);
-      int64_t quota = static_cast<int64_t>(
-          static_cast<double>(target_edges) * chunk_pairs / total_pairs * 1.5);
+      int64_t quota = static_cast<int64_t>(std::min(
+          static_cast<double>(target_edges) * chunk_pairs / total_pairs * 1.5,
+          chunk_pairs));
       quota = std::max<int64_t>(quota, k / 2);
       // Pair (i, j), i < j, has the key FillKey(p)·2^32 + i·k + j. Since
       // ids is sorted, ascending keys are the total order key descending,

@@ -572,6 +572,30 @@ TEST(AssemblyTest, BlockSelectionMatchesFullSort) {
   }
 }
 
+TEST(AssemblyTest, TargetsNearInt64MaxTakeEveryPair) {
+  // A fill quota of at least the chunk's pairs takes all of them, so the
+  // targets 9e18 and INT64_MAX give the 1e15 graph edge for edge.
+  const SubgraphScorer scorer = PairScorer([](int u, int v) {
+    return 0.05f * static_cast<float>((u * 31 + v * 17) % 19 + 1);
+  });
+  for (int subgraph : {40, 16}) {
+    AssemblyOptions options;
+    options.subgraph_size = subgraph;
+    util::Rng base_rng(41);
+    const graph::Graph base =
+        AssembleGraph(40, int64_t{1000000000000000}, scorer, options, base_rng);
+    const auto base_next_draw = base_rng.engine()();
+    for (int64_t target : {int64_t{9000000000000000000},
+                           std::numeric_limits<int64_t>::max()}) {
+      util::Rng rng(41);
+      EXPECT_EQ(AssembleGraph(40, target, scorer, options, rng).Edges(),
+                base.Edges())
+          << "subgraph " << subgraph << " target " << target;
+      EXPECT_EQ(rng.engine()(), base_next_draw);
+    }
+  }
+}
+
 /// Rng::Categorical's scan, verbatim, with its Uniform() * total given as r.
 int CategoricalScan(const std::vector<double>& weights, double r) {
   double acc = 0.0;

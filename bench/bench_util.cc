@@ -256,38 +256,15 @@ graph::Graph BenchDataset(const std::string& name, uint64_t seed) {
   return data::MakeScaledDataset(name, nodes, seed);
 }
 
-namespace {
-int EnvInt(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr) {
-    int value = std::atoi(env);
-    if (value > 0) return value;
-  }
-  return fallback;
-}
-}  // namespace
-
 core::CpganConfig BenchCpganConfig(int epochs, uint64_t seed) {
   core::CpganConfig config;
-  config.epochs = EnvInt("CPGAN_EPOCHS", epochs);
+  config.epochs = epochs;
   config.seed = seed;
-  config.subgraph_size = EnvInt("CPGAN_NS", 320);
-  config.hidden_dim = EnvInt("CPGAN_HID", 32);
-  config.latent_dim = EnvInt("CPGAN_LAT", 32);
-  config.feature_dim = EnvInt("CPGAN_FEAT", 32);
-  config.num_levels = EnvInt("CPGAN_LEVELS", 2);
-  const char* lr = std::getenv("CPGAN_LR");
-  if (lr != nullptr && std::atof(lr) > 0.0) {
-    config.learning_rate = static_cast<float>(std::atof(lr));
-  }
-  const char* flr = std::getenv("CPGAN_FASTLR");
-  if (flr != nullptr && std::atof(flr) > 0.0) {
-    config.fast_lr_multiplier = static_cast<float>(std::atof(flr));
-  }
-  const char* bw = std::getenv("CPGAN_BCE_W");
-  if (bw != nullptr && std::atof(bw) > 0.0) {
-    config.bce_weight = static_cast<float>(std::atof(bw));
-  }
+  config.subgraph_size = 320;
+  config.hidden_dim = 32;
+  config.latent_dim = 32;
+  config.feature_dim = 32;
+  config.num_levels = 2;
   return config;
 }
 

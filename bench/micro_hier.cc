@@ -18,17 +18,12 @@
 // run_benches.sh asserts on (speedup >= 2x at 8 threads, modularity delta
 // >= -0.05, deterministic = 1).
 //
-// Environment knobs:
-//   CPGAN_HIER_NODES        fixture nodes (default 3000)
-//   CPGAN_HIER_EDGES        fixture edges (default 10000)
-//   CPGAN_HIER_COMMUNITIES  planted communities (default 12)
-//   CPGAN_HIER_EPOCHS       training epochs (default 12)
-//   CPGAN_HIER_REPS         timing repetitions, best-of (default 3)
+// The fixture has 3000 nodes, 10000 edges and 12 planted communities; the
+// model trains for 12 epochs, and each timing is the best of 3 runs.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -45,29 +40,18 @@
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
-namespace {
-
 using namespace cpgan;
-
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::atoll(value);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "bench/BENCH_hier.json";
 
   data::CommunityGraphParams params;
-  params.num_nodes = static_cast<int>(EnvInt64("CPGAN_HIER_NODES", 3000));
-  params.num_edges = EnvInt64("CPGAN_HIER_EDGES", 10000);
-  params.num_communities =
-      static_cast<int>(EnvInt64("CPGAN_HIER_COMMUNITIES", 12));
+  params.num_nodes = 3000;
+  params.num_edges = 10000;
+  params.num_communities = 12;
   params.intra_fraction = 0.9;
-  const int epochs = static_cast<int>(EnvInt64("CPGAN_HIER_EPOCHS", 12));
-  const int reps = static_cast<int>(EnvInt64("CPGAN_HIER_REPS", 3));
+  const int epochs = 12;
+  const int reps = 3;
   util::Rng graph_rng(42);
   graph::Graph observed = data::MakeCommunityGraph(params, graph_rng);
 

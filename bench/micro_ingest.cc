@@ -12,16 +12,12 @@
 // INGEST_SPEEDUP= / INGEST_PEAK_WITHIN_BUDGET= lines run_benches.sh
 // asserts on (speedup >= 3x, within-budget = 1).
 //
-// Environment knobs:
-//   CPGAN_INGEST_NODES      ring size (default 1000000)
-//   CPGAN_INGEST_CHORDS     chords per node (default 9 -> 10M edges total)
-//   CPGAN_INGEST_BUDGET_MB  RAM budget for ingest + training (default 512)
-//   CPGAN_INGEST_EPOCHS     coreset training epochs (default 6)
-//   CPGAN_INGEST_CORESET    coreset size in nodes (default 2048)
+// The ring has 1000000 nodes and 9 chords per node (10M edges in all); the
+// RAM budget for ingest and training is 512 MiB, and the coreset of 2048
+// nodes trains for 6 epochs.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -38,29 +34,18 @@
 #include "util/memory_tracker.h"
 #include "util/timer.h"
 
-namespace {
-
 using namespace cpgan;
-
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::atoll(value);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "bench/BENCH_ingest.json";
 
   data::RingChordSpec spec;
-  spec.num_nodes = EnvInt64("CPGAN_INGEST_NODES", 1000000);
-  spec.chords = static_cast<int>(EnvInt64("CPGAN_INGEST_CHORDS", 9));
+  spec.num_nodes = 1000000;
+  spec.chords = 9;
   spec.seed = 42;
-  const int64_t budget_mb = EnvInt64("CPGAN_INGEST_BUDGET_MB", 512);
-  const int epochs = static_cast<int>(EnvInt64("CPGAN_INGEST_EPOCHS", 6));
-  const int coreset_size =
-      static_cast<int>(EnvInt64("CPGAN_INGEST_CORESET", 2048));
+  const int64_t budget_mb = 512;
+  const int epochs = 6;
+  const int coreset_size = 2048;
   const int64_t num_edges = data::RingChordEdgeCount(spec);
 
   namespace fs = std::filesystem;

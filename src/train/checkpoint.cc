@@ -51,10 +51,14 @@ int64_t RemainingBytes(std::FILE* f) {
   return end >= pos ? end - pos : -1;
 }
 
+/// Whether the bytes left can hold a rows x cols payload; false when they
+/// cannot be counted. Compared in floats: rows * cols stays below 2^62, but
+/// its byte count can pass 2^63.
 bool PlausiblePayload(std::FILE* f, int32_t rows, int32_t cols) {
-  int64_t bytes = static_cast<int64_t>(rows) * cols * sizeof(float);
-  int64_t remaining = RemainingBytes(f);
-  return remaining < 0 || bytes <= remaining;
+  const int64_t floats = static_cast<int64_t>(rows) * cols;
+  const int64_t remaining = RemainingBytes(f);
+  return remaining >= 0 &&
+         floats <= remaining / static_cast<int64_t>(sizeof(float));
 }
 
 /// The tensor block after the header (layout in checkpoint.h), with its

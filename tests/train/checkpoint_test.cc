@@ -144,15 +144,19 @@ TEST(CheckpointTest, WrongVersionIsRejected) {
 
 TEST(CheckpointTest, ForeignTensorBlocksAreRejected) {
   // Under a valid header: a legacy "CPGN" body (count 1, then a 1x1 tensor
-  // holding 1e30, with no checksum), and a "CPG2" block whose count,
-  // 2^32 - 1, the 36-byte file cannot hold.
+  // holding 1e30, with no checksum); a "CPG2" block whose count, 2^32 - 1,
+  // the 36-byte file cannot hold; and one whose first tensor is
+  // (2^31 - 1) x (2^31 - 1), a byte count past 2^63.
   std::string legacy;
   Put(legacy, uint32_t{0x4350474Eu}, uint32_t{1}, int32_t{1}, int32_t{1},
       1e30f);
   std::string huge_count;
   Put(huge_count, uint32_t{0x32475043u}, uint32_t{2}, uint32_t{0xFFFFFFFFu});
+  std::string huge_shape;
+  Put(huge_shape, uint32_t{0x32475043u}, uint32_t{2}, uint32_t{1},
+      int32_t{0x7FFFFFFF}, int32_t{0x7FFFFFFF}, uint32_t{0});
   const std::pair<std::string, const char*> bodies[] = {
-      {legacy, "magic"}, {huge_count, "truncated"}};
+      {legacy, "magic"}, {huge_count, "truncated"}, {huge_shape, "truncated"}};
   for (const auto& [body, reason] : bodies) {
     std::string path = TempPath("ckpt_foreign.cpck");
     ASSERT_TRUE(WriteBytes(path, Header() + body));

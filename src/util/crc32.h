@@ -13,7 +13,7 @@ namespace cpgan::util {
 ///   crc.Update(buf, len);
 ///   uint32_t digest = crc.Digest();
 ///
-/// Used by the v2 parameter/checkpoint container to detect bit rot and
+/// Used by the checkpoint file (train/checkpoint.h) to detect bit rot and
 /// truncation before any state is committed to a live model.
 class Crc32 {
  public:

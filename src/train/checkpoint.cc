@@ -88,9 +88,7 @@ bool WriteTensorBlock(std::FILE* f, const std::vector<tensor::Tensor>& params) {
   return ok && std::fwrite(&digest, sizeof(digest), 1, f) == 1;
 }
 
-/// Parses and checksum-validates the tensor block into `out`. The count is
-/// not trusted for an allocation: a count the file cannot hold runs out of
-/// bytes at a tensor header and fails as truncated.
+/// Parses and checksum-validates the tensor block into `out`.
 bool ReadTensorBlock(std::FILE* f, std::vector<tensor::Matrix>* out,
                      std::string* error) {
   util::Crc32 block_crc;
@@ -111,6 +109,13 @@ bool ReadTensorBlock(std::FILE* f, std::vector<tensor::Matrix>* out,
     SetError(error, "unsupported tensor block version");
     return false;
   }
+  // Every tensor takes at least its header (rows, cols, payload CRC), so a
+  // count the bytes left cannot hold fails here, before it sizes anything.
+  if (int64_t{count} * 12 > RemainingBytes(f)) {
+    SetError(error, "truncated tensor block (count exceeds the file)");
+    return false;
+  }
+  out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     int32_t rows = 0;
     int32_t cols = 0;

@@ -124,29 +124,16 @@ TEST(CheckpointTest, BitFlipAnywhereIsRejected) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, WrongVersionIsRejected) {
-  // A checkpoint header claiming version 999, and a "CPG2" tensor block
-  // claiming version 7 (count 0) under a valid header. Every checksum is
-  // valid, so the version check itself is what rejects the file.
-  std::string block;
-  Put(block, uint32_t{0x32475043u}, uint32_t{7}, uint32_t{0});
-  Put(block, util::Crc32Of(block.data(), block.size()));
-  for (const std::string& bytes : {Header(999), Header() + block}) {
-    std::string path = TempPath("ckpt_version.cpck");
-    ASSERT_TRUE(WriteBytes(path, bytes));
-    auto params = MakeParams();
-    std::string err;
-    EXPECT_FALSE(LoadCheckpoint(path, nullptr, params, 0, &err));
-    EXPECT_NE(err.find("version"), std::string::npos) << err;
-    std::remove(path.c_str());
-  }
-}
-
-TEST(CheckpointTest, ForeignTensorBlocksAreRejected) {
-  // Under a valid header: a legacy "CPGN" body (count 1, then a 1x1 tensor
-  // holding 1e30, with no checksum); a "CPG2" block whose count, 2^32 - 1,
-  // the 36-byte file cannot hold; and one whose first tensor is
-  // (2^31 - 1) x (2^31 - 1), a byte count past 2^63.
+TEST(CheckpointTest, WrongVersionOrForeignBlockIsRejected) {
+  // Every checksum the files hold is valid, so the named check itself
+  // rejects each: a checkpoint header of version 999; under a valid
+  // header, a "CPG2" block of version 7 (count 0), a legacy "CPGN" body
+  // (count 1, then a 1x1 tensor holding 1e30, with no checksum), a "CPG2"
+  // block whose count, 2^32 - 1, the 36-byte file cannot hold, and one
+  // whose first tensor is (2^31 - 1) x (2^31 - 1), a byte count past 2^63.
+  std::string version7;
+  Put(version7, uint32_t{0x32475043u}, uint32_t{7}, uint32_t{0});
+  Put(version7, util::Crc32Of(version7.data(), version7.size()));
   std::string legacy;
   Put(legacy, uint32_t{0x4350474Eu}, uint32_t{1}, int32_t{1}, int32_t{1},
       1e30f);
@@ -155,11 +142,15 @@ TEST(CheckpointTest, ForeignTensorBlocksAreRejected) {
   std::string huge_shape;
   Put(huge_shape, uint32_t{0x32475043u}, uint32_t{2}, uint32_t{1},
       int32_t{0x7FFFFFFF}, int32_t{0x7FFFFFFF}, uint32_t{0});
-  const std::pair<std::string, const char*> bodies[] = {
-      {legacy, "magic"}, {huge_count, "truncated"}, {huge_shape, "truncated"}};
-  for (const auto& [body, reason] : bodies) {
+  const std::pair<std::string, const char*> files[] = {
+      {Header(999), "version"},
+      {Header() + version7, "version"},
+      {Header() + legacy, "magic"},
+      {Header() + huge_count, "truncated"},
+      {Header() + huge_shape, "truncated"}};
+  for (const auto& [bytes, reason] : files) {
     std::string path = TempPath("ckpt_foreign.cpck");
-    ASSERT_TRUE(WriteBytes(path, Header() + body));
+    ASSERT_TRUE(WriteBytes(path, bytes));
     // One 1x1 destination, the legacy body's shape.
     std::vector<t::Tensor> params = {t::Tensor(t::Matrix(1, 1, 0.5f), true)};
     CheckpointMeta meta;
